@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmatch.counting import Biclique, Clique, count_motif
 from fracmatch.formulas import feasible_t_max
-from fracmatch.graphs import degree_stats, from_graph6, to_graph6
-from fracmatch.matching import matching_number, nu_star_fast
+from fracmatch.graphs import Graph, degree_stats, from_graph6, to_graph6
+from fracmatch.matching import matching_number, nu_star_deficiency, nu_star_fast
 from fracmatch.verifier import (
     VerifySpec,
     clear_caches,
     count_motif_vector,
     enumerate_graphs,
+    load_stream,
     mask_invariants,
     matching_number_at_least,
     native_invariants,
@@ -310,3 +313,74 @@ def test_convexity_reports():
 def test_mask_invariants_single_vertex():
     inv = mask_invariants(1, np.zeros(1, dtype=np.uint32))
     assert int(inv["nu2"][0]) == 0 and int(inv["mind"][0]) == 0
+
+
+def assert_invariants_match_scalar(n, masks, inv):
+    for mask, nu2, lo, hi in zip(masks, inv["nu2"], inv["mind"], inv["maxd"]):
+        g = Graph.from_edge_mask(n, int(mask))
+        assert int(nu2) == nu_star_fast(g).doubled, (n, int(mask))
+        assert (int(lo), int(hi)) == degree_stats(g)[:2], (n, int(mask))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mask_invariants_every_labeled_graph(n):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+    inv = mask_invariants(n, masks)
+    assert all(arr.dtype == np.uint8 for arr in inv.values())
+    assert_invariants_match_scalar(n, masks, inv)
+    for mask, nu2 in zip(masks, inv["nu2"]):
+        g = Graph.from_edge_mask(n, int(mask))
+        assert int(nu2) == nu_star_deficiency(g)[0].doubled
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mask_invariants_random_masks_both_dtypes(data):
+    n = data.draw(st.sampled_from([7, 8]))
+    dtype = data.draw(st.sampled_from([np.uint32, np.uint64]))
+    m = n * (n - 1) // 2
+    masks = np.array(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12)),
+                     dtype=dtype)
+    assert_invariants_match_scalar(n, masks, mask_invariants(n, masks))
+
+
+def test_mask_invariants_block_edges():
+    n = 8
+    rng = np.random.default_rng(20240901)
+    masks = rng.integers(0, 1 << 28, size=(1 << 16) + 3, dtype=np.uint64)
+    whole = mask_invariants(n, masks)
+    pieces = [mask_invariants(n, masks[lo:lo + 4099]) for lo in range(0, len(masks), 4099)]
+    for key, arr in whole.items():
+        assert np.array_equal(arr, np.concatenate([p[key] for p in pieces]))
+    edge = slice((1 << 16) - 2, None)
+    assert_invariants_match_scalar(n, masks[edge], {k: v[edge] for k, v in whole.items()})
+
+    empty = mask_invariants(n, np.zeros(0, dtype=np.uint32))
+    assert all(arr.shape == (0,) and arr.dtype == np.uint8 for arr in empty.values())
+
+
+def test_mask_invariants_rejects_wide_graphs():
+    with pytest.raises(ValueError, match="n <= 8"):
+        mask_invariants(9, np.zeros(1, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("n, source", [(8, "graph6-stream"), (5, "native"), (6, "native")])
+def test_spot_check_floor(n, source, corpus8, monkeypatch):
+    import fracmatch.verifier as V
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return nu_star_deficiency(g)
+
+    monkeypatch.setattr(V, "nu_star_deficiency", counting)
+    clear_caches()
+    try:
+        if source == "native":
+            inv = native_invariants(n, jobs=1)
+        else:
+            inv = load_stream(corpus8, n)
+    finally:
+        clear_caches()
+    assert len(calls) >= min(len(inv["nu2"]), 256)
