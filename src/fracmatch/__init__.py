@@ -11,11 +11,10 @@ from .counting import Biclique, Clique, Motif, count_bicliques, count_cliques, \
     count_motif, count_oracle, parse_motif
 from .constructions import FamilySpec, build_extremal, build_family_member, \
     describe_extremal, family_max_count, family_max_count_literal, family_splits
-from .formulas import ExtremalParams, binom, bound_bicliques, \
-    bound_bicliques_at_least, bound_cliques, bound_cliques_at_least, \
-    bound_edges_matching, bound_edges_max_degree, bound_edges_min_degree_one, \
-    bound_motif, bound_motif_at_least, bound_motif_scan, feasible_t_max, \
-    g_biclique, g_clique, g_motif, second_difference
+from .formulas import ExtremalParams, binom, bound_edges_matching, \
+    bound_edges_max_degree, bound_edges_min_degree_one, bound_motif, \
+    bound_motif_scan, extremal_candidates, feasible_t_max, g_biclique, \
+    g_clique, g_motif, second_difference
 from .graphs import Graph, Graph6Error, are_isomorphic, complement, \
     complete_graph, cycle_graph, degree_stats, delete_edges, disjoint_union, \
     empty_graph, from_graph6, join, path_graph, relabel, to_graph6

@@ -15,12 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import formulas
 from .constructions import build_extremal, describe_extremal, family_max_count
-from .corpus import default_corpus_path, write_corpus
+from .corpus import default_corpus_path, read_graph6_stream, write_corpus
 from .counting import count_motif, parse_motif
 from .formulas import ExtremalParams
-from .graphs import Graph6Error, from_graph6, to_graph6
+from .graphs import Graph6Error, to_graph6
 from .matching import fractional_certificate, matching_number, nu_star_fast
 from .verifier import DEFAULT_CONVEXITY_GRIDS, VerifySpec, verify_bound, \
     verify_convexity, verify_nonexistence
@@ -30,28 +29,9 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _iter_input_graphs(source: str):
-    """graph6 lines from a file path or '-' (stdin), skipping blanks."""
-    if source == "-":
-        lines = sys.stdin
-    else:
-        lines = open(source, "r", encoding="ascii")
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(">>graph6<<"):
-                line = line[len(">>graph6<<"):]
-                if not line:
-                    continue
-            try:
-                yield from_graph6(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"line {lineno}: {exc}") from None
-    finally:
-        if source != "-":
-            lines.close()
+def _graph6_source(args):
+    """The --in argument as read_graph6_stream takes it: '-' is stdin."""
+    return sys.stdin if args.input == "-" else args.input
 
 
 def _extremal_params(args) -> ExtremalParams:
@@ -68,7 +48,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_nu_star(args) -> int:
-    for g in _iter_input_graphs(args.input):
+    for _, g in read_graph6_stream(_graph6_source(args)):
         if args.certificate:
             cert = fractional_certificate(g)
             _emit({"doubled": cert.total_doubled,
@@ -79,43 +59,21 @@ def cmd_nu_star(args) -> int:
 
 
 def cmd_matching(args) -> int:
-    for g in _iter_input_graphs(args.input):
+    for _, g in read_graph6_stream(_graph6_source(args)):
         _emit({"nu": matching_number(g)})
     return 0
 
 
 def cmd_count(args) -> int:
     motif = parse_motif(args.motif)
-    for g in _iter_input_graphs(args.input):
+    for _, g in read_graph6_stream(_graph6_source(args)):
         _emit({"motif": str(motif), "count": str(count_motif(g, motif))})
     return 0
 
 
 def cmd_bound(args) -> int:
-    theorem = args.theorem
-    if theorem == "1.1":
-        if args.k is None:
-            raise ValueError("--theorem 1.1 needs --k")
-        val = formulas.bound_edges_matching(args.n, args.k)
-    elif theorem == "1.2":
-        if args.s2 is None or args.d is None:
-            raise ValueError("--theorem 1.2 needs --s2 and --d")
-        val = formulas.bound_edges_max_degree(args.n, args.s2, args.d)
-    elif theorem == "1.4":
-        if args.s2 is None:
-            raise ValueError("--theorem 1.4 needs --s2")
-        val = formulas.bound_edges_min_degree_one(args.n, args.s2)
-    elif theorem in ("1.6", "1.9"):
-        if args.s2 is None or args.delta is None or args.motif is None:
-            raise ValueError(f"--theorem {theorem} needs --s2, --delta and --motif")
-        motif = parse_motif(args.motif)
-        if args.delta_mode == "exact":
-            val = formulas.bound_motif(args.n, args.s2, args.delta, motif)
-        else:
-            val = formulas.bound_motif_at_least(args.n, args.s2, args.delta, motif)
-    else:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    _emit({"theorem": theorem, "bound": str(val)})
+    val = spec_from_mapping(_spec_entry(args)).bound()
+    _emit({"theorem": args.theorem, "bound": str(val)})
     return 0
 
 
@@ -129,33 +87,61 @@ def cmd_family_max(args) -> int:
 
 def cmd_convexity(args) -> int:
     grid = dict(DEFAULT_CONVEXITY_GRIDS[args.family])
-    if args.s2_min is not None or args.s2_max is not None:
-        lo, hi = grid["s2"]
-        grid["s2"] = (args.s2_min or lo, args.s2_max or hi)
+    lo, hi = grid["s2"]
+    grid["s2"] = (lo if args.s2_min is None else args.s2_min,
+                  hi if args.s2_max is None else args.s2_max)
     report = verify_convexity(args.family, grid)
     _emit(report.to_json_dict())
     return 0 if report.all_nonnegative else 1
 
 
-def _spec_from_args(args) -> VerifySpec:
-    motif = parse_motif(args.motif) if args.motif else None
-    corpus = args.corpus
-    if args.source == "graph6-stream" and corpus is None:
-        corpus = str(default_corpus_path(args.n))
-    return VerifySpec(
-        theorem=args.theorem, n=args.n, s2=args.s2, delta=args.delta,
-        motif=motif, delta_mode=args.delta_mode, source=args.source,
-        corpus=corpus, k=args.k, d=args.d, jobs=args.jobs,
-    )
+SPEC_KEYS = {"theorem": str, "n": int, "s2": int, "delta": int, "motif": str,
+             "delta_mode": str, "source": str, "corpus": str, "k": int, "d": int}
+
+
+def _corpus_or_default(source: str | None, corpus: str | None, n: int) -> str | None:
+    """The corpus a graph6-stream scan reads when none is named."""
+    if source == "graph6-stream" and corpus is None:
+        return str(default_corpus_path(n))
+    return corpus
+
+
+def spec_from_mapping(entry, jobs: int | None = None) -> VerifySpec:
+    """A VerifySpec from a batch config entry or from parsed arguments.
+
+    The keys are those of SPEC_KEYS, and a None value counts as absent.
+    Unknown, missing and ill-typed keys raise ValueError, as does every
+    combination VerifySpec rejects."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"config entries must be objects, got {entry!r}")
+    extra = set(entry) - set(SPEC_KEYS)
+    if extra:
+        raise ValueError(f"unknown config keys {sorted(extra)}")
+    fields = {key: value for key, value in entry.items() if value is not None}
+    for key in ("theorem", "n"):
+        if key not in fields:
+            raise ValueError(f"spec needs {key!r} in {entry!r}")
+    for key, value in fields.items():
+        kind = SPEC_KEYS[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    if "motif" in fields:
+        fields["motif"] = parse_motif(fields["motif"])
+    fields["corpus"] = _corpus_or_default(fields.get("source"), fields.get("corpus"),
+                                          fields["n"])
+    return VerifySpec(**fields, jobs=jobs)
+
+
+def _spec_entry(args) -> dict:
+    """The spec keys among the parsed arguments, for spec_from_mapping."""
+    return {key: getattr(args, key, None) for key in SPEC_KEYS}
 
 
 def cmd_verify(args) -> int:
     if args.nonexistence:
         if args.s2 is None or args.delta is None:
             raise ValueError("--nonexistence needs --s2 and --delta")
-        corpus = args.corpus
-        if args.source == "graph6-stream" and corpus is None:
-            corpus = str(default_corpus_path(args.n))
+        corpus = _corpus_or_default(args.source, args.corpus, args.n)
         report = verify_nonexistence(args.n, args.s2, args.delta,
                                      source=args.source, corpus=corpus,
                                      jobs=args.jobs)
@@ -163,30 +149,9 @@ def cmd_verify(args) -> int:
         return 0 if report.verdict == "no-graphs" else 1
     if args.theorem is None:
         raise ValueError("verify needs --theorem (or --nonexistence)")
-    report = verify_bound(_spec_from_args(args))
+    report = verify_bound(spec_from_mapping(_spec_entry(args), args.jobs))
     _emit(report.to_json_dict())
     return 0 if report.verdict != "bound-violated" else 1
-
-
-def _spec_from_config(entry: dict, jobs: int | None) -> VerifySpec:
-    if not isinstance(entry, dict):
-        raise ValueError(f"config entries must be objects, got {entry!r}")
-    known = {"theorem", "n", "s2", "delta", "motif", "delta_mode", "source",
-             "corpus", "k", "d"}
-    extra = set(entry) - known
-    if extra:
-        raise ValueError(f"unknown config keys {sorted(extra)}")
-    motif = parse_motif(entry["motif"]) if "motif" in entry else None
-    corpus = entry.get("corpus")
-    if entry.get("source") == "graph6-stream" and corpus is None:
-        corpus = str(default_corpus_path(int(entry["n"])))
-    return VerifySpec(
-        theorem=str(entry["theorem"]), n=int(entry["n"]),
-        s2=entry.get("s2"), delta=entry.get("delta"), motif=motif,
-        delta_mode=entry.get("delta_mode", "exact"),
-        source=entry.get("source", "native"), corpus=corpus,
-        k=entry.get("k"), d=entry.get("d"), jobs=jobs,
-    )
 
 
 def cmd_batch(args) -> int:
@@ -195,7 +160,7 @@ def cmd_batch(args) -> int:
     if not isinstance(entries, list):
         raise ValueError("batch config must be a JSON array of verify specs")
     # validate everything up front; nothing runs if any spec is bad
-    specs = [_spec_from_config(e, args.jobs) for e in entries]
+    specs = [spec_from_mapping(e, args.jobs) for e in entries]
     reports = [verify_bound(s) for s in specs]
     aggregated = {
         "reports": [r.to_json_dict() for r in reports],
@@ -226,6 +191,13 @@ def cmd_gen_corpus(args) -> int:
     count = write_corpus(out, args.n)
     _emit({"n": args.n, "classes": count, "path": str(out)})
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-mode", default="exact", choices=["exact", "at-least"])
     p.add_argument("--source", default="native", choices=["native", "graph6-stream"])
     p.add_argument("--corpus", help="graph6 corpus file for the stream source")
-    p.add_argument("--jobs", type=int, help="worker count for the scan")
+    p.add_argument("--jobs", type=_positive_int, help="worker count for the scan")
     p.add_argument("--nonexistence", action="store_true",
                    help="certify that no graph matches (delta beyond the feasible cap)")
     p.set_defaults(func=cmd_verify)
@@ -308,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="aggregated JSON report path (default stdout)")
     p.add_argument("--csv", help="CSV summary path")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_positive_int)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("gen-corpus", help="generate a non-isomorphic graph6 corpus")

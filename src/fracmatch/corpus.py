@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .graphs import Graph, _bits, from_graph6, pair_index, to_graph6
+from .graphs import Graph, Graph6Error, _bits, from_graph6, pair_index, to_graph6
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -156,27 +156,31 @@ def write_corpus(path: str | Path, n: int) -> int:
     return len(lines)
 
 
-def read_graph6_stream(path: str | Path):
-    """Decoded graphs from a graph6 file; tolerates a >>graph6<< header.
+def read_graph6_stream(source):
+    """Decoded graphs from a graph6 file path or an open text stream;
+    tolerates a >>graph6<< header and blank lines.
 
     Yields (line_number, Graph); raises Graph6Error annotated with the line
-    number on malformed input.
+    number on malformed input.  A file is read as ASCII with undecodable
+    bytes kept as surrogates, so a non-ASCII byte is a malformed line too.
     """
-    from .graphs import Graph6Error
-
-    with open(path, "r", encoding="ascii") as fh:
+    fh = source
+    if isinstance(source, (str, os.PathLike)):
+        fh = open(source, "r", encoding="ascii", errors="surrogateescape")
+    try:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith(">>graph6<<"):
                 line = line[len(">>graph6<<"):]
-                if not line:
-                    continue
+            if not line:
+                continue
             try:
                 yield lineno, from_graph6(line)
             except Graph6Error as exc:
                 raise Graph6Error(f"line {lineno}: {exc}") from None
+    finally:
+        if fh is not source:
+            fh.close()
 
 
 def default_corpus_path(n: int) -> Path:

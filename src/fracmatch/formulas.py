@@ -7,8 +7,9 @@ formula ever evaluates a binomial at a non-integer.
 
 ``g_clique``/``g_biclique`` give the exact number of K_l and K_{r1,r2}
 copies in the extremal construction G(n, s, t) (see constructions module);
-the bound evaluators take the maximum of those formulas over the two
-candidate values of t that discrete convexity singles out.
+``bound_motif`` takes the maximum of those formulas over the constructions
+of ``extremal_candidates``: the two values of t that discrete convexity
+singles out, for each admissible minimum degree.
 """
 
 from __future__ import annotations
@@ -104,35 +105,22 @@ def _check_bound_params(n: int, s2: int, delta: int) -> int:
     return t_hi
 
 
-def bound_cliques(n: int, s2: int, delta: int, ell: int) -> int:
-    """Maximum K_ell count over n-vertex graphs with nu* = s2/2 and minimum
-    degree exactly delta: max of g_clique at t = delta and t = feasible max."""
+def extremal_candidates(n: int, s2: int, delta: int,
+                        delta_mode: str) -> list[ExtremalParams]:
+    """The constructions whose counts a bound compares.
+
+    Minimum degree exactly delta: t in {delta, feasible max}, the endpoints
+    that discrete convexity singles out.  Minimum degree at least delta: the
+    same pair for every delta' in delta..feasible max.  Ordered by delta',
+    then t."""
     t_hi = _check_bound_params(n, s2, delta)
-    if ell < 2:
-        raise ValueError("clique order must be >= 2")
-    return max(
-        g_clique(ExtremalParams(n, s2, t, delta), ell) for t in {delta, t_hi}
-    )
-
-
-def bound_bicliques(n: int, s2: int, delta: int, r1: int, r2: int) -> int:
-    """Biclique analogue of bound_cliques."""
-    t_hi = _check_bound_params(n, s2, delta)
-    return max(
-        g_biclique(ExtremalParams(n, s2, t, delta), r1, r2) for t in {delta, t_hi}
-    )
-
-
-def bound_cliques_at_least(n: int, s2: int, delta: int, ell: int) -> int:
-    """Bound under minimum degree >= delta: best exact-delta bound over the
-    admissible range delta..feasible max."""
-    t_hi = _check_bound_params(n, s2, delta)
-    return max(bound_cliques(n, s2, d, ell) for d in range(delta, t_hi + 1))
-
-
-def bound_bicliques_at_least(n: int, s2: int, delta: int, r1: int, r2: int) -> int:
-    t_hi = _check_bound_params(n, s2, delta)
-    return max(bound_bicliques(n, s2, d, r1, r2) for d in range(delta, t_hi + 1))
+    if delta_mode == "exact":
+        deltas = [delta]
+    elif delta_mode == "at-least":
+        deltas = range(delta, t_hi + 1)
+    else:
+        raise ValueError(f"bad delta_mode {delta_mode!r}")
+    return [ExtremalParams(n, s2, t, d) for d in deltas for t in sorted({d, t_hi})]
 
 
 def bound_edges_min_degree_one(n: int, s2: int) -> int:
@@ -204,16 +192,12 @@ def g_motif(p: ExtremalParams, motif: Motif) -> int:
     return g_biclique(p, motif.r1, motif.r2)
 
 
-def bound_motif(n: int, s2: int, delta: int, motif: Motif) -> int:
-    if isinstance(motif, Clique):
-        return bound_cliques(n, s2, delta, motif.ell)
-    return bound_bicliques(n, s2, delta, motif.r1, motif.r2)
-
-
-def bound_motif_at_least(n: int, s2: int, delta: int, motif: Motif) -> int:
-    if isinstance(motif, Clique):
-        return bound_cliques_at_least(n, s2, delta, motif.ell)
-    return bound_bicliques_at_least(n, s2, delta, motif.r1, motif.r2)
+def bound_motif(n: int, s2: int, delta: int, motif: Motif,
+                delta_mode: str = "exact") -> int:
+    """Maximum motif count over n-vertex graphs with nu* = s2/2 and minimum
+    degree delta (exactly, or at least): max of g_motif over the candidates."""
+    return max(g_motif(p, motif)
+               for p in extremal_candidates(n, s2, delta, delta_mode))
 
 
 def bound_motif_scan(n: int, s2: int, delta: int, motif: Motif) -> int:

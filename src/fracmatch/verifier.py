@@ -36,8 +36,9 @@ import numpy as np
 from . import formulas
 from .constructions import build_extremal
 from .counting import Biclique, Clique, Motif
-from .formulas import ExtremalParams, feasible_t_max
-from .graphs import Graph, are_isomorphic, degree_stats, from_graph6, pair_index, to_graph6
+from .formulas import feasible_t_max
+from .graphs import Graph, all_labeled_graphs, are_isomorphic, degree_stats, from_graph6, \
+    pair_index, to_graph6
 from .matching import nu_star_deficiency, nu_star_fast
 
 THEOREMS = ("1.1", "1.2", "1.4", "1.6", "1.9")
@@ -276,8 +277,7 @@ def enumerate_graphs(n: int, source: str = "native", corpus: str | Path | None =
     if source == "native":
         if n > NATIVE_MAX_VERTICES:
             raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
-        for mask in range(1 << (n * (n - 1) // 2)):
-            yield Graph.from_edge_mask(n, mask)
+        yield from all_labeled_graphs(n)
     elif source == "graph6-stream":
         from .corpus import read_graph6_stream
 
@@ -359,16 +359,15 @@ class VerifySpec:
             return formulas.bound_edges_max_degree(self.n, self.s2, self.d)
         if self.theorem == "1.4":
             val = formulas.bound_edges_min_degree_one(self.n, self.s2)
-            reduced = formulas.bound_cliques_at_least(self.n, self.s2, 1, 2)
+            reduced = formulas.bound_motif(self.n, self.s2, 1, Clique(2), "at-least")
             if val != reduced:
                 raise AssertionError(
                     f"minimum-degree-one bound {val} disagrees with "
                     f"at-least reduction {reduced} at (n={self.n}, s2={self.s2})"
                 )
             return val
-        if self.delta_mode == "exact":
-            return formulas.bound_motif(self.n, self.s2, self.delta, self.effective_motif())
-        return formulas.bound_motif_at_least(self.n, self.s2, self.delta, self.effective_motif())
+        return formulas.bound_motif(self.n, self.s2, self.delta, self.effective_motif(),
+                                    self.delta_mode)
 
     def to_json_dict(self) -> dict:
         out: dict = {"theorem": self.theorem, "n": self.n}
@@ -435,22 +434,31 @@ def _winning_constructions(spec: VerifySpec, bound: int) -> list[Graph]:
     """Extremal constructions whose formula value attains the bound."""
     if spec.theorem in ("1.1", "1.2"):
         return []
+    # theorem 1.4 is the edge bound under minimum degree at least one
+    delta, mode = (1, "at-least") if spec.theorem == "1.4" else (spec.delta, spec.delta_mode)
     motif = spec.effective_motif()
-    n, s2 = spec.n, spec.s2
-    t_hi = feasible_t_max(s2)
-    if spec.theorem == "1.4":
-        deltas = range(1, t_hi + 1)
-    elif spec.delta_mode == "at-least":
-        deltas = range(spec.delta, t_hi + 1)
-    else:
-        deltas = [spec.delta]
-    out = []
-    for delta in deltas:
-        for t in sorted({delta, t_hi}):
-            p = ExtremalParams(n, s2, t, delta)
-            if formulas.g_motif(p, motif) == bound:
-                out.append(build_extremal(p))
-    return out
+    return [build_extremal(p)
+            for p in formulas.extremal_candidates(spec.n, spec.s2, delta, mode)
+            if formulas.g_motif(p, motif) == bound]
+
+
+def _scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
+          select, invariants: bool = True) -> tuple[int, np.ndarray]:
+    """Choose the scan source and return (scanned, masks passing ``select``).
+
+    ``select(inv, masks)`` returns a boolean array over the scanned masks.
+    On the native source mask == index, so ``masks`` is None there and the
+    passing masks come from ``np.nonzero``: the mask array is never built.
+    With ``invariants`` false the native source computes none (``inv`` is
+    None); the corpus source computes them while decoding in any case."""
+    if source == "native":
+        if n > NATIVE_MAX_VERTICES:
+            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
+        inv = native_invariants(n, jobs=jobs) if invariants else None
+        return 1 << (n * (n - 1) // 2), np.nonzero(select(inv, None))[0].astype(np.uint32)
+    inv = load_stream(corpus, n)
+    masks = inv["masks"]
+    return len(masks), masks[select(inv, masks)]
 
 
 def verify_bound(spec: VerifySpec) -> VerificationReport:
@@ -460,23 +468,12 @@ def verify_bound(spec: VerifySpec) -> VerificationReport:
     bound = spec.bound()
     n = spec.n
 
-    needs_invariants = spec.theorem != "1.1"
-    if spec.source == "native":
-        if n > NATIVE_MAX_VERTICES:
-            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
-        masks_all: np.ndarray | None = None
-        scanned = 1 << (n * (n - 1) // 2)
-        inv = native_invariants(n, jobs=spec.jobs) if needs_invariants else None
-    else:
-        inv = load_stream(spec.corpus, n)
-        masks_all = inv["masks"]
-        scanned = len(masks_all)
-
-    if spec.theorem == "1.1":
-        src = masks_all if masks_all is not None else np.arange(scanned, dtype=np.uint32)
-        sel = matching_number_at_least(n, src, spec.k)
-        sel &= ~matching_number_at_least(n, src, spec.k + 1)
-    else:
+    def select(inv, masks):
+        if spec.theorem == "1.1":
+            if masks is None:
+                masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+            sel = matching_number_at_least(n, masks, spec.k)
+            return sel & ~matching_number_at_least(n, masks, spec.k + 1)
         sel = inv["nu2"] == spec.s2
         if spec.theorem == "1.2":
             sel &= inv["maxd"] <= spec.d
@@ -486,11 +483,10 @@ def verify_bound(spec: VerifySpec) -> VerificationReport:
             sel &= inv["mind"] == spec.delta
         else:
             sel &= inv["mind"] >= spec.delta
+        return sel
 
-    if masks_all is None:
-        pass_masks = np.nonzero(sel)[0].astype(np.uint32)
-    else:
-        pass_masks = masks_all[sel]
+    scanned, pass_masks = _scan(n, spec.source, spec.corpus, spec.jobs, select,
+                                invariants=spec.theorem != "1.1")
     passed = int(pass_masks.size)
 
     if passed == 0:
@@ -552,19 +548,8 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
     if n < s2 + 1:
         raise ValueError(f"need n >= {s2 + 1}")
     t0 = time.perf_counter()
-    if source == "native":
-        inv = native_invariants(n, jobs=jobs)
-        masks_all = None
-        scanned = 1 << (n * (n - 1) // 2)
-    else:
-        inv = load_stream(corpus, n)
-        masks_all = inv["masks"]
-        scanned = len(masks_all)
-    sel = (inv["nu2"] == s2) & (inv["mind"] >= delta)
-    if masks_all is None:
-        bad = np.nonzero(sel)[0].astype(np.uint32)
-    else:
-        bad = masks_all[sel]
+    scanned, bad = _scan(n, source, corpus, jobs,
+                         lambda inv, masks: (inv["nu2"] == s2) & (inv["mind"] >= delta))
     qualifying = int(bad.size)
     examples = tuple(_select_witnesses(n, bad)) if qualifying else ()
     verdict = "no-graphs" if qualifying == 0 else "counterexample-found"
@@ -630,6 +615,8 @@ def _convexity_points(family: str, grid: dict):
 def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
     """Sweep the centered second difference over the grid; all must be >= 0."""
     grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
+    if grid["s2"][0] > grid["s2"][1]:
+        raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
     points = 0
     min_val: int | None = None
     argmin: dict = {}

@@ -16,7 +16,6 @@ from fracmatch.corpus import KNOWN_CLASS_COUNTS, canonical_graph6
 from fracmatch.counting import Biclique, Clique, count_oracle
 from fracmatch.formulas import (
     ExtremalParams,
-    bound_cliques_at_least,
     bound_edges_matching,
     bound_edges_max_degree,
     bound_edges_min_degree_one,
@@ -179,7 +178,7 @@ def test_criterion_08_reductions_and_regressions():
         # minimum-degree-at-least-one reduction
         for n in range(5, 31):
             for s2 in range(4, min(n, 13)):
-                assert bound_cliques_at_least(n, s2, 1, 2) == \
+                assert bound_motif(n, s2, 1, Clique(2), "at-least") == \
                     bound_edges_min_degree_one(n, s2)
         # matching-number bound, exhaustive
         for n in (5, 6, 7):

@@ -126,7 +126,18 @@ def test_bound_values(capsys, argv, expected):
 
 def test_bound_missing_flags(capsys):
     code, _, err = run(capsys, ["bound", "--theorem", "1.1", "--n", "7"])
-    assert code == 2 and "needs --k" in err
+    assert code == 2 and "needs k" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("tail", [
+    ["--theorem", "1.6", "--n", "7", "--s2", "4", "--delta", "1",
+     "--motif", "biclique:1,2"],  # 1.6 counts cliques
+    ["--theorem", "1.4", "--n", "7", "--s2", "4", "--delta", "3"],  # 1.4 fixes delta
+])
+def test_bound_rejects_what_verify_rejects(capsys, command, tail):
+    code, out, err = run(capsys, [command, *tail])
+    assert code == 2 and not out and "error" in err
 
 
 def test_family_max(capsys):
@@ -186,6 +197,56 @@ def test_convexity_lemma23(capsys):
     assert json.loads(out)["all_nonnegative"] is True
 
 
+def test_convexity_s2_min_zero_is_kept(capsys):
+    # s2 = 3 is the only value in 0..3 with an interior t; the default
+    # lower end 4 would leave no points at all
+    code, out, _ = run(capsys, ["convexity", "--family", "lemma23",
+                                "--s2-min", "0", "--s2-max", "3"])
+    assert code == 0
+    assert json.loads(out)["points"] == 5
+
+
+def test_convexity_empty_s2_range_exits_2(capsys):
+    code, out, err = run(capsys, ["convexity", "--family", "lemma23",
+                                  "--s2-min", "5", "--s2-max", "4"])
+    assert code == 2 and not out and "error" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify", "batch"])
+def test_nonpositive_jobs_exit_2(capsys, tmp_path, command, jobs):
+    if command == "verify":
+        argv = ["verify", "--theorem", "1.6", "--n", "5", "--s2", "4",
+                "--delta", "1", "--motif", "clique:2"]
+    else:
+        config = tmp_path / "specs.json"
+        config.write_text(json.dumps([{"theorem": "1.6", "n": 5, "s2": 4,
+                                       "delta": 1, "motif": "clique:2"}]))
+        argv = ["batch", "--config", str(config)]
+    code, out, _ = run(capsys, argv + ["--jobs", jobs])
+    assert code == 2 and not out
+
+
+@pytest.mark.parametrize("where", ["file", "corpus", "stdin"])
+def test_non_ascii_graph6_exits_3_with_line(capsys, monkeypatch, tmp_path, where):
+    text = "D~{\n\u00e9\n"  # K5, then a line with one non-ASCII character
+    if where == "stdin":
+        code, _, err = run(capsys, ["nu-star", "--in", "-"], stdin=text,
+                           monkeypatch=monkeypatch)
+    else:
+        path = tmp_path / "graphs5.g6"
+        path.write_bytes(text.encode("utf-8"))
+        if where == "file":
+            argv = ["nu-star", "--in", str(path)]
+        else:
+            argv = ["verify", "--theorem", "1.6", "--n", "5", "--s2", "4",
+                    "--delta", "1", "--motif", "clique:2",
+                    "--source", "graph6-stream", "--corpus", str(path)]
+        code, _, err = run(capsys, argv)
+    assert code == 3
+    assert "format error" in err and "line 2" in err
+
+
 def test_verify_nonexistence(capsys):
     code, out, _ = run(capsys, ["verify", "--nonexistence", "--n", "6",
                                 "--s2", "5", "--delta", "2"])
@@ -233,6 +294,20 @@ def test_batch_validates_before_running(capsys, tmp_path):
                                   "--out", str(out_json)])
     assert code == 2
     assert not out_json.exists()  # nothing ran, nothing written
+
+
+@pytest.mark.parametrize("entry", [
+    {"n": 5, "s2": 4, "delta": 1, "motif": "clique:2"},  # no theorem
+    {"theorem": "1.6", "s2": 4, "delta": 1, "motif": "clique:2"},  # no n
+    {"theorem": "1.6", "n": [1], "s2": 4, "delta": 1, "motif": "clique:2"},
+    {"theorem": "1.6", "n": 5, "s2": "4", "delta": 1, "motif": "clique:2"},
+    {"theorem": "1.6", "n": 5, "s2": 4, "delta": 1, "motif": 3},
+])
+def test_batch_malformed_entry_exits_2(capsys, tmp_path, entry):
+    config = tmp_path / "specs.json"
+    config.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, ["batch", "--config", str(config)])
+    assert code == 2 and not out and "error" in err
 
 
 def test_batch_empty_config(capsys, tmp_path):

@@ -8,15 +8,12 @@ from fracmatch.counting import Biclique, Clique, count_bicliques, count_cliques
 from fracmatch.formulas import (
     ExtremalParams,
     binom,
-    bound_bicliques,
-    bound_bicliques_at_least,
-    bound_cliques,
-    bound_cliques_at_least,
     bound_edges_matching,
     bound_edges_max_degree,
     bound_edges_min_degree_one,
     bound_motif,
     bound_motif_scan,
+    extremal_candidates,
     feasible_t_max,
     g_biclique,
     g_clique,
@@ -105,19 +102,19 @@ class TestCountingFormulas:
 
 class TestBounds:
     def test_clique_bounds(self):
-        assert bound_cliques(7, 4, 1, 2) == 10
-        assert bound_cliques(6, 5, 1, 2) == 8
-        assert bound_cliques(7, 4, 2, 3) == 5
+        assert bound_motif(7, 4, 1, Clique(2)) == 10
+        assert bound_motif(6, 5, 1, Clique(2)) == 8
+        assert bound_motif(7, 4, 2, Clique(3)) == 5
 
     def test_biclique_bounds(self):
-        assert bound_bicliques(7, 4, 1, 1, 2) == 29
-        assert bound_bicliques(6, 5, 1, 1, 1) == 8
+        assert bound_motif(7, 4, 1, Biclique(1, 2)) == 29
+        assert bound_motif(6, 5, 1, Biclique(1, 1)) == 8
         # edge motif coincides with the clique bound at ell = 2
         for n in range(5, 12):
             for s2 in range(4, n):
                 for delta in range(1, feasible_t_max(s2) + 1):
-                    assert bound_bicliques(n, s2, delta, 1, 1) == \
-                        bound_cliques(n, s2, delta, 2)
+                    assert bound_motif(n, s2, delta, Biclique(1, 1)) == \
+                        bound_motif(n, s2, delta, Clique(2))
 
     def test_min_degree_one_bound(self):
         assert bound_edges_min_degree_one(7, 4) == 11
@@ -127,14 +124,14 @@ class TestBounds:
     def test_exact_vs_at_least_delta_distinction(self):
         # with minimum degree exactly 1 the best 7-vertex graph with
         # nu* = 2 has 10 edges; allowing larger minimum degree reaches 11
-        assert bound_cliques(7, 4, 1, 2) == 10
-        assert bound_cliques_at_least(7, 4, 1, 2) == 11
+        assert bound_motif(7, 4, 1, Clique(2)) == 10
+        assert bound_motif(7, 4, 1, Clique(2), "at-least") == 11
         assert bound_edges_min_degree_one(7, 4) == 11
 
     def test_reduction_to_min_degree_one(self):
         for n in range(5, 31):
             for s2 in range(4, min(n, 13)):
-                assert bound_cliques_at_least(n, s2, 1, 2) == \
+                assert bound_motif(n, s2, 1, Clique(2), "at-least") == \
                     bound_edges_min_degree_one(n, s2)
 
     def test_matching_bound(self):
@@ -165,13 +162,38 @@ class TestBounds:
 
     def test_bounds_reject_out_of_hypothesis(self):
         with pytest.raises(ValueError):
-            bound_cliques(7, 4, 3, 2)  # delta beyond feasible cap
+            bound_motif(7, 4, 3, Clique(2))  # delta beyond feasible cap
         with pytest.raises(ValueError):
-            bound_cliques(6, 5, 2, 2)  # odd s2 cap is 1
+            bound_motif(6, 5, 2, Clique(2))  # odd s2 cap is 1
         with pytest.raises(ValueError):
-            bound_cliques(4, 4, 1, 2)  # n too small
+            bound_motif(4, 4, 1, Clique(2))  # n too small
         with pytest.raises(ValueError):
-            bound_bicliques_at_least(7, 4, 0, 1, 2)
+            bound_motif(7, 4, 0, Biclique(1, 2), "at-least")
+
+
+class TestExtremalCandidates:
+    def test_spot_value(self):
+        got = [(p.delta, p.t) for p in extremal_candidates(9, 6, 1, "at-least")]
+        assert got == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+    def test_delta_then_t_order(self):
+        # exact: t = delta, then t = t_max; at least: the same pair for each
+        # delta' = delta..t_max in turn, a pair collapsing when delta' = t_max
+        for n in range(5, 13):
+            for s2 in range(4, n):
+                t_hi = feasible_t_max(s2)
+                for delta in range(1, t_hi + 1):
+                    pairs = {d: [(d, d)] + ([(d, t_hi)] if d < t_hi else [])
+                             for d in range(delta, t_hi + 1)}
+                    at_least = [pair for d in range(delta, t_hi + 1) for pair in pairs[d]]
+                    for mode, expected in (("exact", pairs[delta]), ("at-least", at_least)):
+                        got = extremal_candidates(n, s2, delta, mode)
+                        assert [(p.delta, p.t) for p in got] == expected
+                        assert all((p.n, p.s2) == (n, s2) for p in got)
+
+    def test_rejects_bad_mode(self):
+        with pytest.raises(ValueError):
+            extremal_candidates(7, 4, 1, "at-most")
 
 
 class TestEndpointMaximum:
