@@ -22,6 +22,6 @@ from .matching import DeficiencyWitness, FractionalCertificate, HalfInt, \
     fractional_certificate, matching_number, nu_star_deficiency, nu_star_fast
 from .verifier import ConvexityReport, NonexistenceReport, VerificationReport, \
     VerifySpec, enumerate_graphs, verify_bound, verify_convexity, \
-    verify_nonexistence
+    verify_nonexistence, verify_specs
 
 __version__ = "0.1.0"

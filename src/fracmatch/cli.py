@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .formulas import ExtremalParams
 from .graphs import Graph6Error, to_graph6
 from .matching import fractional_certificate, matching_number, nu_star_fast
 from .verifier import DEFAULT_CONVEXITY_GRIDS, VerifySpec, verify_bound, \
-    verify_convexity, verify_nonexistence
+    verify_convexity, verify_nonexistence, verify_specs
 
 
 def _emit(obj: dict) -> None:
@@ -30,8 +31,13 @@ def _emit(obj: dict) -> None:
 
 
 def _graph6_source(args):
-    """The --in argument as read_graph6_stream takes it: '-' is stdin."""
-    return sys.stdin if args.input == "-" else args.input
+    """The --in argument as read_graph6_stream takes it: '-' is stdin, read
+    like a file, as ASCII with undecodable bytes kept as surrogates."""
+    if args.input != "-":
+        return args.input
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
+    return sys.stdin
 
 
 def _extremal_params(args) -> ExtremalParams:
@@ -160,8 +166,7 @@ def cmd_batch(args) -> int:
     if not isinstance(entries, list):
         raise ValueError("batch config must be a JSON array of verify specs")
     # validate everything up front; nothing runs if any spec is bad
-    specs = [spec_from_mapping(e, args.jobs) for e in entries]
-    reports = [verify_bound(s) for s in specs]
+    reports = verify_specs([spec_from_mapping(e, args.jobs) for e in entries])
     aggregated = {
         "reports": [r.to_json_dict() for r in reports],
         "all_exact": all(r.verdict == "exact-match" for r in reports),

@@ -20,31 +20,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .graphs import Graph, Graph6Error, _bits, from_graph6, pair_index, to_graph6
+from .graphs import Graph, Graph6Error, _bits, _refine_colors, from_graph6, pair_index, \
+    to_graph6
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 CORPUS_DIR_ENV = "FRACMATCH_CORPUS_DIR"
-
-
-def _stable_cells(g: Graph) -> list[list[int]]:
-    """Cells of the iterated degree refinement, in canonical cell order."""
-    n = g.n
-    colors = [g.degree(v) for v in range(n)]
-    while True:
-        sig = []
-        for v in range(n):
-            nbc = sorted(colors[u] for u in _bits(g.adj[v]))
-            sig.append((colors[v], tuple(nbc)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranking[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
 
 
 def canonical_mask(g: Graph) -> int:
@@ -55,8 +36,10 @@ def canonical_mask(g: Graph) -> int:
     encoding graph6 sorts first.
     """
     n = g.n
-    cells = _stable_cells(g)
-    pool: list[list[int]] = [list(cell) for cell in cells]
+    cells: dict[int, list[int]] = {}
+    for v, color in enumerate(_refine_colors(g)):
+        cells.setdefault(color, []).append(v)
+    pool: list[list[int]] = [cells[c] for c in sorted(cells)]
     best: list[int] | None = None
     order: list[int] = []
     # rows[k] = edge bits contributed by order[k] against order[:k],
@@ -156,14 +139,17 @@ def write_corpus(path: str | Path, n: int) -> int:
     return len(lines)
 
 
-def read_graph6_stream(source):
+def read_graph6_stream(source, decode=None):
     """Decoded graphs from a graph6 file path or an open text stream;
     tolerates a >>graph6<< header and blank lines.
 
-    Yields (line_number, Graph); raises Graph6Error annotated with the line
-    number on malformed input.  A file is read as ASCII with undecodable
-    bytes kept as surrogates, so a non-ASCII byte is a malformed line too.
+    Yields (line_number, decode(line)), where ``decode`` defaults to
+    ``from_graph6`` (a Graph; ``graphs.graph6_mask`` gives (n, edge mask)
+    instead); raises Graph6Error annotated with the line number on
+    malformed input.  A file is read as ASCII with undecodable bytes kept
+    as surrogates, so a non-ASCII byte is a malformed line too.
     """
+    decode = from_graph6 if decode is None else decode
     fh = source
     if isinstance(source, (str, os.PathLike)):
         fh = open(source, "r", encoding="ascii", errors="surrogateescape")
@@ -175,7 +161,7 @@ def read_graph6_stream(source):
             if not line:
                 continue
             try:
-                yield lineno, from_graph6(line)
+                yield lineno, decode(line)
             except Graph6Error as exc:
                 raise Graph6Error(f"line {lineno}: {exc}") from None
     finally:

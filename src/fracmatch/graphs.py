@@ -201,8 +201,9 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def from_graph6(text: str) -> Graph:
-    """Decode one graph6 line (surrounding whitespace tolerated)."""
+def graph6_mask(text: str) -> tuple[int, int]:
+    """Decode one graph6 line (surrounding whitespace tolerated) to
+    (n, edge mask), the mask in ``pair_index`` bit order."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 line")
@@ -224,30 +225,35 @@ def from_graph6(text: str) -> Graph:
     need = (m + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"malformed header: expected {need} payload bytes, got {len(body)}")
-    mask = 0
-    for g6pos, val in enumerate(body):
-        for k in range(6):
-            if val >> (5 - k) & 1:
-                p = 6 * g6pos + k
-                if p >= m:
-                    raise Graph6Error("trailing bits nonzero")
-                mask |= 1 << p
-    return Graph.from_edge_mask(n, mask)
+    # graph6 bit p, read most significant first in each byte, is pair p
+    bits = "".join(format(val, "06b") for val in body)
+    if "1" in bits[m:]:
+        raise Graph6Error("trailing bits nonzero")
+    return n, int(bits[:m][::-1] or "0", 2)
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 line (surrounding whitespace tolerated)."""
+    return Graph.from_edge_mask(*graph6_mask(text))
 
 
 # ---------------------------------------------------------------------------
 # isomorphism (exact, intended for n <= 10)
 
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """Iterated degree refinement; returns a stable color per vertex."""
-    colors = tuple(g.degree(v) for v in range(g.n))
-    for _ in range(g.n):
+def _refine_colors(g: Graph) -> list[int]:
+    """Iterated degree refinement, run until stable; returns a color per vertex.
+
+    Colors are ranks of isomorphism-invariant signatures, so listing the
+    color classes in color order is itself invariant (the corpus's
+    canonical forms rely on that)."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
         sig = []
         for v in range(g.n):
             nbc = sorted(colors[u] for u in _bits(g.adj[v]))
             sig.append((colors[v], tuple(nbc)))
         ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = tuple(ranking[s] for s in sig)
+        new = [ranking[s] for s in sig]
         if new == colors:
             break
         colors = new

@@ -4,13 +4,19 @@ The native source enumerates every labeled graph on n vertices as an edge
 bitmask and evaluates the filter invariants (doubled fractional matching
 number, minimum/maximum degree, matching number) for all of them with
 vectorized numpy passes; the mask space is partitioned into fixed chunks,
-which keeps memory bounded and lets ``jobs > 1`` farm chunks to worker
-processes.  Partial results merge by concatenation in chunk order, so a
-report is byte-identical no matter how many workers ran.
+which keeps memory bounded by the chunk size and lets ``jobs > 1`` farm
+chunks to worker processes.  A graph6 stream source (one graph per line,
+decoded straight to masks) feeds the same pipeline for the non-isomorphic
+corpora at n = 8; all filter quantities are preserved by isomorphism, so
+scanning class representatives is enough there.
 
-A graph6 stream source (one graph per line) feeds the same machinery for
-the non-isomorphic corpora at n = 8; all filter quantities are preserved
-by isomorphism, so scanning class representatives is enough there.
+Every scan is one pass: the source yields chunks of masks with their
+invariants, and each spec of a group filters and counts every chunk into
+a fold that keeps the maximum count, the number of passing graphs and the
+WITNESS_CAP smallest witnesses in graph6 order.  None of these depends on
+how the scan was chunked, so a report is byte-identical no matter how many
+workers ran, and ``verify_specs`` serves every spec sharing (n, source,
+corpus) from one pass.
 
 The vectorized nu* is not the scalar algorithm: it evaluates the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
@@ -27,17 +33,20 @@ import itertools
 import json
 import os
 import time
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import formulas
 from .constructions import build_extremal
+from .corpus import read_graph6_stream
 from .counting import Biclique, Clique, Motif
 from .formulas import feasible_t_max
-from .graphs import Graph, all_labeled_graphs, are_isomorphic, degree_stats, from_graph6, \
+from .graphs import Graph, all_labeled_graphs, are_isomorphic, degree_stats, graph6_mask, \
     pair_index, to_graph6
 from .matching import nu_star_deficiency, nu_star_fast
 
@@ -119,12 +128,6 @@ def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     return {"nu2": nu2, "mind": mind, "maxd": maxd}
 
 
-def _native_chunk(args: tuple[int, int, int]) -> dict[str, np.ndarray]:
-    n, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.uint32)
-    return mask_invariants(n, masks)
-
-
 def matching_at_least_masks(n: int, k: int) -> list[int]:
     """Edge-bit masks of all sets of k pairwise disjoint edges."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -190,25 +193,36 @@ def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scan sources with caching
-
-_NATIVE_CACHE: dict[int, dict[str, np.ndarray]] = {}
-_STREAM_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
-
+# scan sources: chunks of edge masks, with their invariants
 
 def clear_caches() -> None:
-    _NATIVE_CACHE.clear()
-    _STREAM_CACHE.clear()
+    """Does nothing: no scan keeps state between calls.  Kept for callers
+    that reset the verifier before each timed call."""
 
 
-def _spot_check(n: int, masks, inv: dict[str, np.ndarray]) -> None:
+def _check_source(n: int, source: str, corpus: str | Path | None) -> None:
+    """Raise ValueError unless (n, source, corpus) names a scan."""
+    if source == "native":
+        if n > NATIVE_MAX_VERTICES:
+            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
+    elif source == "graph6-stream":
+        if corpus is None:
+            raise ValueError("graph6-stream source needs a corpus path")
+    else:
+        raise ValueError(f"unknown source {source!r}")
+
+
+def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray], start: int = 0,
+                total: int | None = None) -> None:
     """Re-derive sampled entries through the scalar APIs; raise on mismatch.
 
-    Samples every SPOT_CHECK_STRIDE-th mask, and at least
-    min(len(masks), SPOT_CHECK_FLOOR) evenly spaced ones.  ``masks`` is any
-    sequence; the native source passes a ``range``, where mask == index."""
-    stride = max(1, min(SPOT_CHECK_STRIDE, len(masks) // SPOT_CHECK_FLOOR))
-    for idx in range(0, len(masks), stride):
+    ``masks`` are entries start, start + 1, ... of a scan of ``total``
+    graphs (by default the masks are the whole scan).  The sample is every
+    stride-th entry of the whole scan, with stride SPOT_CHECK_STRIDE or less
+    so that at least min(total, SPOT_CHECK_FLOOR) entries are checked."""
+    total = len(masks) if total is None else total
+    stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
+    for idx in range(-start % stride, len(masks), stride):
         g = Graph.from_edge_mask(n, int(masks[idx]))
         nu_fast = nu_star_fast(g).doubled
         nu_slow = nu_star_deficiency(g)[0].doubled
@@ -222,77 +236,125 @@ def _spot_check(n: int, masks, inv: dict[str, np.ndarray]) -> None:
             raise AssertionError(f"degree spot check failed at mask {int(masks[idx])}")
 
 
-def native_invariants(n: int, jobs: int | None = None) -> dict[str, np.ndarray]:
-    """Invariant arrays over all 2^C(n,2) labeled graphs, cached per n."""
-    if n > NATIVE_MAX_VERTICES:
-        raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
-    hit = _NATIVE_CACHE.get(n)
-    if hit is not None:
-        return hit
-    m = n * (n - 1) // 2
-    total = 1 << m
-    step = min(total, 1 << _CHUNK_BITS)
-    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                parts = list(pool.map(_native_chunk, tasks))
-        except OSError:  # process pools unavailable; fall back to serial
-            parts = [_native_chunk(t) for t in tasks]
-    else:
-        parts = [_native_chunk(t) for t in tasks]
-    inv = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-    _spot_check(n, range(total), inv)
-    _NATIVE_CACHE[n] = inv
-    return inv
+def _native_ranges(n: int) -> list[range]:
+    """The labeled masks 0 .. 2^C(n,2) - 1, in chunks of 2^_CHUNK_BITS."""
+    total = 1 << (n * (n - 1) // 2)
+    step = 1 << _CHUNK_BITS
+    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def load_stream(path: str | Path, expect_n: int) -> dict[str, np.ndarray]:
-    """Decode a graph6 corpus and compute invariants, cached per file state."""
-    from .corpus import read_graph6_stream
+def _arange(r: range) -> np.ndarray:
+    return np.arange(r.start, r.stop, dtype=np.uint32)
 
-    path = Path(path)
-    stat = path.stat()
-    key = (str(path.resolve()), expect_n, stat.st_size, stat.st_mtime_ns)
-    hit = _STREAM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    masks = []
-    for lineno, g in read_graph6_stream(path):
-        if g.n != expect_n:
-            raise ValueError(f"line {lineno}: graph has {g.n} vertices, expected {expect_n}")
-        masks.append(g.edge_mask())
-    arr = np.array(masks, dtype=np.uint32)
-    inv = mask_invariants(expect_n, arr)
-    inv["masks"] = arr
-    _spot_check(expect_n, arr, inv)
-    _STREAM_CACHE[key] = inv
-    return inv
+
+def _native_chunk(task: tuple[int, range]) -> dict[str, np.ndarray]:
+    n, r = task
+    return mask_invariants(n, _arange(r))
+
+
+def _in_order(fn: Callable, tasks: list, jobs: int):
+    """fn(task) for each task, in task order.  With jobs > 1 a process pool
+    runs them, submitted at most 2 * jobs ahead of the consumer, so the
+    results held at once stay bounded."""
+    if jobs < 2 or len(tasks) < 2:
+        yield from map(fn, tasks)
+        return
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+        ahead = deque([pool.submit(fn, tasks[0])])  # starts the workers
+    except OSError:  # process pools unavailable; fall back to serial
+        yield from map(fn, tasks)
+        return
+    with pool:
+        for task in tasks[1:]:
+            if len(ahead) == 2 * jobs:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(fn, task))
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def native_invariants(n: int, jobs: int | None = None):
+    """(masks, invariants) for each chunk of the 2^C(n,2) labeled graphs,
+    in mask order.
+
+    With jobs > 1 (default: one per CPU) worker processes compute the
+    chunk invariants; the spot check runs here, on the whole scan's
+    sample."""
+    _check_source(n, "native", None)
+    ranges = _native_ranges(n)
+    tasks = [(n, r) for r in ranges]
+    for r, inv in zip(ranges, _in_order(_native_chunk, tasks, jobs or os.cpu_count() or 1)):
+        masks = _arange(r)
+        _spot_check(n, masks, inv, r.start, ranges[-1].stop)
+        yield masks, inv
+
+
+def _stream_masks(path: str | Path, n: int):
+    """Edge masks of the graphs of a graph6 file, decoded without Graph objects."""
+    for lineno, (order, mask) in read_graph6_stream(path, decode=graph6_mask):
+        if order != n:
+            raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
+        yield mask
+
+
+def _mask_chunks(n: int, source: str, corpus: str | Path | None):
+    """uint32 edge-mask arrays of at most 2^_CHUNK_BITS graphs, in scan order."""
+    if source == "native":
+        yield from map(_arange, _native_ranges(n))
+        return
+    masks = _stream_masks(corpus, n)
+    while (chunk := np.fromiter(itertools.islice(masks, 1 << _CHUNK_BITS),
+                                dtype=np.uint32)).size:
+        yield chunk
+
+
+def load_stream(path: str | Path, expect_n: int):
+    """(masks, invariants) for each chunk of a graph6 corpus, in file order;
+    the corpus is read once, so it may be a pipe."""
+    chunks = _mask_chunks(expect_n, "graph6-stream", path)
+    # the spot-check stride depends on the scan's length only up to
+    # SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR graphs: read that far ahead
+    ahead, total = [], 0
+    for masks in chunks:
+        ahead.append(masks)
+        total += len(masks)
+        if total >= SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR:
+            break
+    start = 0
+    for masks in itertools.chain(ahead, chunks):
+        inv = mask_invariants(expect_n, masks)
+        _spot_check(expect_n, masks, inv, start, total)
+        start += len(masks)
+        yield masks, inv
 
 
 def enumerate_graphs(n: int, source: str = "native", corpus: str | Path | None = None):
     """Stream of graphs: every labeled graph (native) or corpus lines decoded."""
+    _check_source(n, source, corpus)
     if source == "native":
-        if n > NATIVE_MAX_VERTICES:
-            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
         yield from all_labeled_graphs(n)
-    elif source == "graph6-stream":
-        from .corpus import read_graph6_stream
-
-        if corpus is None:
-            raise ValueError("graph6-stream source needs a corpus path")
-        for lineno, g in read_graph6_stream(corpus):
-            if g.n != n:
-                raise ValueError(f"line {lineno}: graph has {g.n} vertices, expected {n}")
-            yield g
     else:
-        raise ValueError(f"unknown source {source!r}")
+        for mask in _stream_masks(corpus, n):
+            yield Graph.from_edge_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------
 # verification specs and reports
+
+# the parameters each theorem reads; every other one must keep its default,
+# or hold the value the theorem fixes itself
+_READS = {
+    "1.1": ("k",),
+    "1.2": ("s2", "d"),
+    "1.4": ("s2",),
+    "1.6": ("s2", "delta", "motif", "delta_mode"),
+    "1.9": ("s2", "delta", "motif", "delta_mode"),
+}
+_PARAMS = {key for reads in _READS.values() for key in reads}
+_FIXED = {"1.1": {"motif": Clique(2)}, "1.2": {"motif": Clique(2)},
+          "1.4": {"motif": Clique(2), "delta": 1}}
+
 
 @dataclass(frozen=True)
 class VerifySpec:
@@ -315,39 +377,23 @@ class VerifySpec:
             raise ValueError(f"unknown theorem id {self.theorem!r}")
         if self.delta_mode not in ("exact", "at-least"):
             raise ValueError(f"bad delta_mode {self.delta_mode!r}")
-        if self.source not in ("native", "graph6-stream"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source == "graph6-stream" and self.corpus is None:
-            raise ValueError("graph6-stream source needs a corpus path")
-        if self.theorem in ("1.1", "1.2", "1.4"):
-            # these bound the edge count; a non-edge motif would be nonsense
-            if self.motif is not None and self.motif != Clique(2):
-                raise ValueError(f"theorem {self.theorem} counts edges, not {self.motif}")
-        if self.theorem != "1.1" and self.k is not None:
-            raise ValueError(f"k applies to theorem 1.1 only, not {self.theorem}")
-        if self.theorem != "1.2" and self.d is not None:
-            raise ValueError(f"d applies to theorem 1.2 only, not {self.theorem}")
-        if self.theorem == "1.4" and self.delta not in (None, 1):
-            raise ValueError("theorem 1.4 fixes minimum degree >= 1; delta is not a parameter")
-        if self.theorem == "1.1":
-            if self.k is None or self.k < 1 or self.n < 2 * self.k + 1:
-                raise ValueError("theorem 1.1 needs k >= 1 and n >= 2k + 1")
-        elif self.theorem == "1.2":
-            if self.s2 is None or self.d is None:
-                raise ValueError("theorem 1.2 needs s2 and d")
-            formulas.bound_edges_max_degree(self.n, self.s2, self.d)
-        elif self.theorem == "1.4":
-            if self.s2 is None:
-                raise ValueError("theorem 1.4 needs s2")
-            formulas.bound_edges_min_degree_one(self.n, self.s2)
-        else:
-            if self.s2 is None or self.delta is None or self.motif is None:
-                raise ValueError(f"theorem {self.theorem} needs s2, delta and motif")
-            if self.theorem == "1.6" and not isinstance(self.motif, Clique):
-                raise ValueError("theorem 1.6 takes a clique motif")
-            if self.theorem == "1.9" and not isinstance(self.motif, Biclique):
-                raise ValueError("theorem 1.9 takes a biclique motif")
-            formulas.bound_motif(self.n, self.s2, self.delta, self.motif)
+        _check_source(self.n, self.source, self.corpus)
+        reads = _READS[self.theorem]
+        fixed = _FIXED.get(self.theorem, {})
+        for param in fields(self):
+            value = getattr(self, param.name)
+            if param.name in _PARAMS and param.name not in reads \
+                    and value not in (param.default, fixed.get(param.name)):
+                raise ValueError(f"theorem {self.theorem} does not take {param.name} "
+                                 f"(got {value})")
+        missing = [key for key in reads if getattr(self, key) is None]
+        if missing:
+            raise ValueError(f"theorem {self.theorem} needs {', '.join(missing)}")
+        if self.theorem == "1.6" and not isinstance(self.motif, Clique):
+            raise ValueError("theorem 1.6 takes a clique motif")
+        if self.theorem == "1.9" and not isinstance(self.motif, Biclique):
+            raise ValueError("theorem 1.9 takes a biclique motif")
+        self.bound()  # raises ValueError outside the theorem's hypotheses
 
     def effective_motif(self) -> Motif:
         return self.motif if self.motif is not None else Clique(2)
@@ -369,17 +415,29 @@ class VerifySpec:
         return formulas.bound_motif(self.n, self.s2, self.delta, self.effective_motif(),
                                     self.delta_mode)
 
+    def select(self, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> np.ndarray:
+        """Boolean array: which masks pass the theorem's filter.  Theorem
+        1.1 reads the masks alone (``inv`` may be None), the rest read the
+        invariants alone."""
+        if self.theorem == "1.1":
+            n, k = self.n, self.k
+            return matching_number_at_least(n, masks, k) & ~matching_number_at_least(n, masks, k + 1)
+        sel = inv["nu2"] == self.s2
+        if self.theorem == "1.2":
+            sel &= inv["maxd"] <= self.d
+        elif self.theorem == "1.4":
+            sel &= inv["mind"] >= 1
+        elif self.delta_mode == "exact":
+            sel &= inv["mind"] == self.delta
+        else:
+            sel &= inv["mind"] >= self.delta
+        return sel
+
     def to_json_dict(self) -> dict:
         out: dict = {"theorem": self.theorem, "n": self.n}
-        if self.theorem == "1.1":
-            out["k"] = self.k
-        elif self.theorem == "1.2":
-            out.update(s2=self.s2, d=self.d)
-        elif self.theorem == "1.4":
-            out["s2"] = self.s2
-        else:
-            out.update(s2=self.s2, delta=self.delta, motif=str(self.motif),
-                       delta_mode=self.delta_mode)
+        out.update((key, getattr(self, key)) for key in _READS[self.theorem])
+        if "motif" in out:
+            out["motif"] = str(self.motif)
         out["source"] = self.source
         if self.corpus is not None:
             out["corpus"] = str(self.corpus)
@@ -424,12 +482,6 @@ def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
     return rev
 
 
-def _select_witnesses(n: int, masks: np.ndarray) -> list[str]:
-    keys = _graph6_sort_keys(n, masks)
-    order = np.argsort(keys, kind="stable")[:WITNESS_CAP]
-    return [to_graph6(Graph.from_edge_mask(n, int(masks[i]))) for i in order]
-
-
 def _winning_constructions(spec: VerifySpec, bound: int) -> list[Graph]:
     """Extremal constructions whose formula value attains the bound."""
     if spec.theorem in ("1.1", "1.2"):
@@ -442,74 +494,116 @@ def _winning_constructions(spec: VerifySpec, bound: int) -> list[Graph]:
             if formulas.g_motif(p, motif) == bound]
 
 
-def _scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
-          select, invariants: bool = True) -> tuple[int, np.ndarray]:
-    """Choose the scan source and return (scanned, masks passing ``select``).
+@dataclass
+class _Fold:
+    """One spec's result over a scan, merged chunk by chunk: the number of
+    passing graphs, the maximum motif count, and the WITNESS_CAP smallest
+    graphs (graph6 order) attaining it.
 
-    ``select(inv, masks)`` returns a boolean array over the scanned masks.
-    On the native source mask == index, so ``masks`` is None there and the
-    passing masks come from ``np.nonzero``: the mask array is never built.
-    With ``invariants`` false the native source computes none (``inv`` is
-    None); the corpus source computes them while decoding in any case."""
-    if source == "native":
-        if n > NATIVE_MAX_VERTICES:
-            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
-        inv = native_invariants(n, jobs=jobs) if invariants else None
-        return 1 << (n * (n - 1) // 2), np.nonzero(select(inv, None))[0].astype(np.uint32)
-    inv = load_stream(corpus, n)
-    masks = inv["masks"]
-    return len(masks), masks[select(inv, masks)]
+    ``select(masks, inv)`` is the filter.  With ``motif`` None every
+    passing graph counts 0, so the witnesses are the smallest passing
+    graphs.  No step depends on how the scan is cut into chunks."""
+
+    select: Callable
+    motif: Motif | None
+    passed: int = 0
+    best: int | None = None
+    smallest: list[tuple[int, int]] = field(default_factory=list)  # (sort key, mask)
+    seconds: float = 0.0
+
+    def add(self, n: int, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> None:
+        t0 = time.perf_counter()
+        hit = masks[self.select(masks, inv)]
+        if hit.size:
+            self.passed += hit.size
+            top = 0
+            if self.motif is not None:
+                counts = count_motif_vector(n, hit, self.motif)
+                top = int(counts.max())
+                hit = hit[counts == top]
+            if self.best is None or top > self.best:
+                self.best, self.smallest = top, []
+            if top == self.best:
+                keys = _graph6_sort_keys(n, hit)
+                first = np.argsort(keys, kind="stable")[:WITNESS_CAP]
+                self.smallest = sorted(self.smallest + [(int(keys[i]), int(hit[i]))
+                                                        for i in first])[:WITNESS_CAP]
+        self.seconds += time.perf_counter() - t0
+
+    def witnesses(self, n: int) -> list[Graph]:
+        return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
+
+
+def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
+               folds: list[_Fold], invariants: bool = True) -> int:
+    """Feed each chunk of one scan to every fold, in scan order; returns the
+    number of graphs scanned.  With ``invariants`` false no invariants are
+    computed and the folds get None in their place."""
+    _check_source(n, source, corpus)
+    if not invariants:
+        chunks = ((masks, None) for masks in _mask_chunks(n, source, corpus))
+    elif source == "native":
+        chunks = native_invariants(n, jobs)
+    else:
+        chunks = load_stream(corpus, n)
+    scanned = 0
+    for masks, inv in chunks:
+        scanned += len(masks)
+        for fold in folds:
+            fold.add(n, masks, inv)
+    return scanned
+
+
+def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
+            seconds: float) -> VerificationReport:
+    t0 = time.perf_counter()
+    graphs = fold.witnesses(spec.n)
+    witnesses = tuple(to_graph6(g) for g in graphs)
+    if fold.best is None:
+        verdict = "no-graphs"
+    else:
+        verdict = "exact-match" if fold.best == bound else "bound-violated"
+    matches = False
+    if verdict == "exact-match":
+        targets = _winning_constructions(spec, bound)
+        matches = any(are_isomorphic(w, target) for w in graphs for target in targets)
+    elapsed = int((seconds + fold.seconds + time.perf_counter() - t0) * 1000)
+    return VerificationReport(spec, bound, fold.best, witnesses, scanned, fold.passed,
+                              verdict, matches, elapsed)
+
+
+def verify_specs(specs: list[VerifySpec]) -> list[VerificationReport]:
+    """Verify every spec: scan all graphs passing its filter and compare the
+    maximum motif count against the theorem bound.  Reports come in input
+    order.
+
+    Specs sharing (n, source, corpus) are served by one scan, which computes
+    invariants only if some spec of the group reads them (all but theorem
+    1.1 do) and runs with the first spec's jobs (reports do not depend on
+    it).  A report's elapsed_ms is its own filter, count and witness time;
+    the first report of a group also carries the shared scan time."""
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.n, spec.source, spec.corpus), []).append(i)
+    reports: list = [None] * len(specs)
+    for (n, source, corpus), members in groups.items():
+        t0 = time.perf_counter()
+        group = [specs[i] for i in members]
+        bounds = [spec.bound() for spec in group]
+        folds = [_Fold(spec.select, spec.effective_motif()) for spec in group]
+        scanned = _fold_scan(n, source, corpus, group[0].jobs, folds,
+                             invariants=any(spec.theorem != "1.1" for spec in group))
+        shared = time.perf_counter() - t0 - sum(fold.seconds for fold in folds)
+        for i, spec, bound, fold in zip(members, group, bounds, folds):
+            reports[i] = _report(spec, bound, fold, scanned, shared)
+            shared = 0.0
+    return reports
 
 
 def verify_bound(spec: VerifySpec) -> VerificationReport:
     """Scan all graphs passing the spec's filter and compare the maximum
     motif count against the theorem bound."""
-    t0 = time.perf_counter()
-    bound = spec.bound()
-    n = spec.n
-
-    def select(inv, masks):
-        if spec.theorem == "1.1":
-            if masks is None:
-                masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-            sel = matching_number_at_least(n, masks, spec.k)
-            return sel & ~matching_number_at_least(n, masks, spec.k + 1)
-        sel = inv["nu2"] == spec.s2
-        if spec.theorem == "1.2":
-            sel &= inv["maxd"] <= spec.d
-        elif spec.theorem == "1.4":
-            sel &= inv["mind"] >= 1
-        elif spec.delta_mode == "exact":
-            sel &= inv["mind"] == spec.delta
-        else:
-            sel &= inv["mind"] >= spec.delta
-        return sel
-
-    scanned, pass_masks = _scan(n, spec.source, spec.corpus, spec.jobs, select,
-                                invariants=spec.theorem != "1.1")
-    passed = int(pass_masks.size)
-
-    if passed == 0:
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return VerificationReport(spec, bound, None, (), scanned, 0,
-                                  "no-graphs", False, elapsed)
-
-    counts = count_motif_vector(n, pass_masks, spec.effective_motif())
-    observed = int(counts.max())
-    at_max = pass_masks[counts == observed]
-    witnesses = _select_witnesses(n, at_max)
-    verdict = "exact-match" if observed == bound else "bound-violated"
-
-    matches = False
-    if verdict == "exact-match":
-        targets = _winning_constructions(spec, bound)
-        wit_graphs = [from_graph6(w) for w in witnesses]
-        matches = any(
-            are_isomorphic(w, target) for w in wit_graphs for target in targets
-        )
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(spec, bound, observed, tuple(witnesses),
-                              scanned, passed, verdict, matches, elapsed)
+    return verify_specs([spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +642,12 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
     if n < s2 + 1:
         raise ValueError(f"need n >= {s2 + 1}")
     t0 = time.perf_counter()
-    scanned, bad = _scan(n, source, corpus, jobs,
-                         lambda inv, masks: (inv["nu2"] == s2) & (inv["mind"] >= delta))
-    qualifying = int(bad.size)
-    examples = tuple(_select_witnesses(n, bad)) if qualifying else ()
-    verdict = "no-graphs" if qualifying == 0 else "counterexample-found"
+    fold = _Fold(lambda masks, inv: (inv["nu2"] == s2) & (inv["mind"] >= delta), None)
+    scanned = _fold_scan(n, source, corpus, jobs, [fold])
+    examples = tuple(to_graph6(g) for g in fold.witnesses(n))
+    verdict = "no-graphs" if fold.passed == 0 else "counterexample-found"
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return NonexistenceReport(n, s2, delta, scanned, qualifying, examples,
+    return NonexistenceReport(n, s2, delta, scanned, fold.passed, examples,
                               verdict, elapsed)
 
 

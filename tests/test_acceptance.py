@@ -28,7 +28,7 @@ from fracmatch.graphs import Graph, all_labeled_graphs, from_graph6
 from fracmatch.matching import fractional_certificate, nu_star_deficiency, \
     nu_star_fast
 from fracmatch.verifier import VerifySpec, verify_bound, verify_convexity, \
-    verify_nonexistence
+    verify_nonexistence, verify_specs
 
 CLIQUE_MOTIFS = [Clique(2), Clique(3), Clique(4)]
 BICLIQUE_MOTIFS = [Biclique(1, 1), Biclique(1, 2), Biclique(2, 2)]
@@ -55,16 +55,15 @@ def _grid(n_values):
 
 
 def _run_grid(n_values, motifs, source="native", corpus=None):
-    for n, s2, delta in _grid(n_values):
-        for motif in motifs:
-            spec = VerifySpec("1.6" if isinstance(motif, Clique) else "1.9",
-                              n, s2=s2, delta=delta, motif=motif,
-                              source=source,
-                              corpus=None if corpus is None else str(corpus))
-            report = verify_bound(spec)
-            assert report.verdict == "exact-match", (
-                f"{spec}: bound {report.bound} observed {report.observed_max}")
-            assert report.passed > 0
+    specs = [VerifySpec("1.6" if isinstance(motif, Clique) else "1.9",
+                        n, s2=s2, delta=delta, motif=motif,
+                        source=source,
+                        corpus=None if corpus is None else str(corpus))
+             for n, s2, delta in _grid(n_values) for motif in motifs]
+    for spec, report in zip(specs, verify_specs(specs), strict=True):
+        assert report.verdict == "exact-match", (
+            f"{spec}: bound {report.bound} observed {report.observed_max}")
+        assert report.passed > 0
 
 
 def test_criterion_01_clique_bound_exhaustive():
@@ -187,17 +186,15 @@ def test_criterion_08_reductions_and_regressions():
                 assert rep.verdict == "exact-match", (n, k, rep.bound, rep.observed_max)
                 assert rep.bound == bound_edges_matching(n, k)
         # maximum-degree bound, exhaustive over the valid part of the grid
+        # (n >= s2 + 1 is the n > 2s hypothesis)
+        specs = [VerifySpec("1.2", n, s2=s2, d=d)
+                 for n in (5, 6, 7) for s2 in (4, 5) if n >= s2 + 1 for d in (2, 3, 4)]
         ran = 0
-        for n in (5, 6, 7):
-            for s2 in (4, 5):
-                if n < s2 + 1:
-                    continue  # outside the n > 2s hypothesis
-                for d in (2, 3, 4):
-                    rep = verify_bound(VerifySpec("1.2", n, s2=s2, d=d))
-                    assert rep.verdict == "exact-match", (
-                        n, s2, d, rep.bound, rep.observed_max)
-                    assert rep.bound == bound_edges_max_degree(n, s2, d)
-                    ran += 1
+        for spec, rep in zip(specs, verify_specs(specs), strict=True):
+            n, s2, d = spec.n, spec.s2, spec.d
+            assert rep.verdict == "exact-match", (n, s2, d, rep.bound, rep.observed_max)
+            assert rep.bound == bound_edges_max_degree(n, s2, d)
+            ran += 1
         assert ran == 15
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: golden outputs, exit codes, batch behavior."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -9,9 +11,6 @@ from fracmatch.cli import main
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     captured = capsys.readouterr()
@@ -134,6 +133,11 @@ def test_bound_missing_flags(capsys):
     ["--theorem", "1.6", "--n", "7", "--s2", "4", "--delta", "1",
      "--motif", "biclique:1,2"],  # 1.6 counts cliques
     ["--theorem", "1.4", "--n", "7", "--s2", "4", "--delta", "3"],  # 1.4 fixes delta
+    # parameters the theorem does not read
+    ["--theorem", "1.2", "--n", "5", "--s2", "4", "--d", "3", "--delta", "7"],
+    ["--theorem", "1.1", "--n", "7", "--k", "2", "--s2", "99", "--delta", "5",
+     "--delta-mode", "at-least"],
+    ["--theorem", "1.4", "--n", "7", "--s2", "4", "--delta-mode", "at-least"],
 ])
 def test_bound_rejects_what_verify_rejects(capsys, command, tail):
     code, out, err = run(capsys, [command, *tail])
@@ -227,12 +231,18 @@ def test_nonpositive_jobs_exit_2(capsys, tmp_path, command, jobs):
     assert code == 2 and not out
 
 
-@pytest.mark.parametrize("where", ["file", "corpus", "stdin"])
+@pytest.mark.parametrize("where", ["file", "corpus", "stdin", "strict-utf8-stdin"])
 def test_non_ascii_graph6_exits_3_with_line(capsys, monkeypatch, tmp_path, where):
     text = "D~{\n\u00e9\n"  # K5, then a line with one non-ASCII character
     if where == "stdin":
         code, _, err = run(capsys, ["nu-star", "--in", "-"], stdin=text,
                            monkeypatch=monkeypatch)
+    elif where == "strict-utf8-stdin":
+        # a byte that is not UTF-8, on a stdin that decodes UTF-8 strictly
+        stdin = io.TextIOWrapper(io.BytesIO(b"D~{\n\xff\n"), encoding="utf-8",
+                                 errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, _, err = run(capsys, ["nu-star", "--in", "-"])
     else:
         path = tmp_path / "graphs5.g6"
         path.write_bytes(text.encode("utf-8"))

@@ -1,5 +1,8 @@
 """Exhaustive verifier: vectorized engine against a naive reference scan."""
 
+from concurrent.futures import Future
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from fracmatch.formulas import feasible_t_max
 from fracmatch.graphs import Graph, degree_stats, from_graph6, to_graph6
 from fracmatch.matching import matching_number, nu_star_deficiency, nu_star_fast
 from fracmatch.verifier import (
+    WITNESS_CAP,
     VerifySpec,
     clear_caches,
     count_motif_vector,
@@ -21,11 +25,12 @@ from fracmatch.verifier import (
     verify_bound,
     verify_convexity,
     verify_nonexistence,
+    verify_specs,
 )
 
 
-def naive_verify(spec: VerifySpec):
-    """Reference scan straight through the per-graph public APIs."""
+def naive_passing(spec: VerifySpec):
+    """The graphs passing the spec's filter, through the per-graph public APIs."""
     passing = []
     for g in enumerate_graphs(spec.n, spec.source, spec.corpus):
         if spec.theorem == "1.1":
@@ -45,6 +50,12 @@ def naive_verify(spec: VerifySpec):
                 if spec.delta_mode == "at-least" and lo < spec.delta:
                     continue
         passing.append(g)
+    return passing
+
+
+def naive_verify(spec: VerifySpec):
+    """Reference scan straight through the per-graph public APIs."""
+    passing = naive_passing(spec)
     if not passing:
         return None, 0, []
     counts = [count_motif(g, spec.effective_motif()) for g in passing]
@@ -69,7 +80,7 @@ def test_invariant_arrays_match_scalar_apis(rng):
     from fracmatch.graphs import Graph
 
     for n in (3, 4, 5):
-        inv = native_invariants(n)
+        (_, inv), = native_invariants(n)  # one chunk
         total = 1 << (n * (n - 1) // 2)
         for mask in rng.sample(range(total), min(total, 80)):
             g = Graph.from_edge_mask(n, mask)
@@ -164,7 +175,8 @@ def test_witness_cap():
 def test_spot_check_catches_corruption():
     import fracmatch.verifier as V
 
-    inv = {key: arr.copy() for key, arr in native_invariants(4).items()}
+    (_, whole), = native_invariants(4)  # one chunk
+    inv = {key: arr.copy() for key, arr in whole.items()}
     inv["nu2"][0] ^= 1
     with pytest.raises(AssertionError, match="spot check"):
         V._spot_check(4, np.arange(64, dtype=np.uint32), inv)
@@ -288,8 +300,7 @@ def test_nonexistence_detects_counterexample(monkeypatch):
     k4_mask = from_graph6("F~~~w").edge_mask()  # K_7
 
     def doctored(path, expect_n):
-        return {
-            "masks": np.array([k4_mask], dtype=np.uint32),
+        yield np.array([k4_mask], dtype=np.uint32), {
             "nu2": np.array([4], dtype=np.uint8),
             "mind": np.array([6], dtype=np.uint8),
             "maxd": np.array([6], dtype=np.uint8),
@@ -378,9 +389,175 @@ def test_spot_check_floor(n, source, corpus8, monkeypatch):
     clear_caches()
     try:
         if source == "native":
-            inv = native_invariants(n, jobs=1)
+            chunks = list(native_invariants(n, jobs=1))
         else:
-            inv = load_stream(corpus8, n)
+            chunks = list(load_stream(corpus8, n))
     finally:
         clear_caches()
-    assert len(calls) >= min(len(inv["nu2"]), 256)
+    assert len(calls) >= min(sum(len(inv["nu2"]) for _, inv in chunks), 256)
+
+
+@pytest.mark.parametrize("source, corpus", [("bogus", None), ("graph6-stream", None)])
+def test_nonexistence_rejects_bad_source(source, corpus):
+    with pytest.raises(ValueError, match="source"):
+        verify_nonexistence(6, 5, 2, source=source, corpus=corpus)
+
+
+def test_spec_accepts_the_values_a_theorem_fixes():
+    VerifySpec("1.1", 6, k=2, motif=Clique(2))
+    VerifySpec("1.2", 6, s2=4, d=3, motif=Clique(2))
+    VerifySpec("1.4", 6, s2=4, delta=1, motif=Clique(2))
+
+
+# ---------------------------------------------------------------------------
+# the chunk-folding engine
+
+def report_fields(report):
+    out = report.to_json_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    VerifySpec("1.6", 5, s2=4, delta=1, motif=Clique(2)),
+    VerifySpec("1.9", 5, s2=4, delta=2, motif=Biclique(2, 2)),
+    VerifySpec("1.1", 5, k=2),
+    VerifySpec("1.4", 5, s2=4),
+    VerifySpec("1.2", 5, s2=4, d=3),
+    VerifySpec("1.6", 6, s2=4, delta=2, motif=Clique(3)),
+], ids=lambda s: repr(s)[:60])
+def test_small_chunks_match_naive_reference(spec, monkeypatch):
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_CHUNK_BITS", 6)  # n = 5: 16 chunks, n = 6: 512
+    report = verify_bound(spec)
+    best, passed, witnesses = naive_verify(spec)
+    assert (report.observed_max, report.passed) == (best, passed)
+    assert list(report.witnesses) == witnesses
+    assert report.scanned == 1 << (spec.n * (spec.n - 1) // 2)
+    if spec.theorem == "1.6" and spec.n == 5:
+        # the maximum is tied by more graphs than the cap, in many chunks
+        ties = [g.edge_mask() for g in naive_passing(spec)
+                if count_motif(g, spec.motif) == best]
+        assert len(ties) > WITNESS_CAP
+        assert len({mask >> 6 for mask in ties}) > 1
+
+
+def test_small_chunks_on_the_stream_source(monkeypatch, tmp_path):
+    import fracmatch.verifier as V
+    from fracmatch.corpus import write_corpus
+
+    path = tmp_path / "graphs5.g6"
+    write_corpus(path, 5)  # 34 classes
+    monkeypatch.setattr(V, "_CHUNK_BITS", 3)
+    for spec in (VerifySpec("1.6", 5, s2=4, delta=1, motif=Clique(2)),
+                 VerifySpec("1.1", 5, k=2), VerifySpec("1.4", 5, s2=4)):
+        spec = replace(spec, source="graph6-stream", corpus=str(path))
+        report = verify_bound(spec)
+        assert (report.observed_max, report.passed, list(report.witnesses)) == \
+            naive_verify(spec)
+        assert report.scanned == 34
+
+
+@pytest.mark.parametrize("source", ["native", "graph6-stream"])
+def test_spot_check_sample_spans_the_whole_scan(source, monkeypatch, corpus8):
+    import io
+
+    import fracmatch.verifier as V
+
+    checked = []
+
+    def counting(g):
+        checked.append(g.edge_mask())
+        return nu_star_deficiency(g)
+
+    # small chunks, and a stride (16) fixed by a read-ahead of 16 * 8
+    # graphs that ends long before the scan does
+    monkeypatch.setattr(V, "_CHUNK_BITS", 5)
+    monkeypatch.setattr(V, "SPOT_CHECK_STRIDE", 16)
+    monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", 8)
+    monkeypatch.setattr(V, "nu_star_deficiency", counting)
+    if source == "native":
+        chunks = native_invariants(6, jobs=1)
+    else:
+        text = io.StringIO(corpus8.read_text())  # read once, like a pipe
+        chunks = load_stream(text, 8)
+    masks = np.concatenate([masks for masks, _ in chunks])
+    assert len(masks) == (1 << 15 if source == "native" else 12346)
+    assert checked == masks[::16].tolist()
+
+
+def test_jobs_do_not_change_reports(monkeypatch):
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks
+    specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)),
+             VerifySpec("1.9", 6, s2=4, delta=1, motif=Biclique(1, 2), delta_mode="at-least"),
+             VerifySpec("1.2", 6, s2=4, d=3), VerifySpec("1.1", 6, k=2)]
+
+    def run(jobs):
+        reports = verify_specs([replace(spec, jobs=jobs) for spec in specs])
+        absent = verify_nonexistence(6, 5, 2, jobs=jobs).to_json_dict()
+        absent.pop("elapsed_ms")
+        return [report_fields(r) for r in reports], absent
+
+    assert run(1) == run(2)
+
+
+def test_pool_keeps_at_most_two_tasks_per_worker_ahead(monkeypatch):
+    import fracmatch.verifier as V
+
+    submitted = []
+
+    class InlinePool:
+        """Runs each task when it is submitted."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, task):
+            submitted.append(task)
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(V, "ProcessPoolExecutor", InlinePool)
+    jobs = 3
+    results = V._in_order(abs, list(range(-20, 0)), jobs)
+    for consumed, value in enumerate(results):
+        assert value == 20 - consumed
+        assert len(submitted) - consumed <= 2 * jobs
+    assert len(submitted) == 20
+
+
+def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
+    from fracmatch.corpus import write_corpus
+
+    path5 = tmp_path / "graphs5.g6"
+    write_corpus(path5, 5)
+    c5 = {"source": "graph6-stream", "corpus": str(path5)}
+    c8 = {"source": "graph6-stream", "corpus": str(corpus8)}
+    specs = [
+        VerifySpec("1.6", 7, s2=4, delta=1, motif=Clique(3)),
+        VerifySpec("1.9", 8, s2=5, delta=1, motif=Biclique(1, 2), **c8),
+        VerifySpec("1.1", 6, k=2),
+        VerifySpec("1.2", 7, s2=4, d=3),
+        VerifySpec("1.4", 5, s2=4, **c5),
+        VerifySpec("1.6", 8, s2=6, delta=2, motif=Clique(4), delta_mode="at-least", **c8),
+        VerifySpec("1.9", 6, s2=4, delta=2, motif=Biclique(2, 2), delta_mode="at-least"),
+        VerifySpec("1.1", 7, k=3),
+        VerifySpec("1.6", 5, s2=4, delta=1, motif=Clique(2)),
+        VerifySpec("1.4", 7, s2=5),
+        VerifySpec("1.2", 8, s2=4, d=3, **c8),
+        VerifySpec("1.1", 8, k=2, **c8),
+        VerifySpec("1.9", 5, s2=4, delta=1, motif=Biclique(1, 1), **c5),
+        VerifySpec("1.4", 6, s2=5),
+    ]
+    grouped = [report_fields(r) for r in verify_specs(specs)]
+    assert grouped == [report_fields(verify_bound(spec)) for spec in specs]
