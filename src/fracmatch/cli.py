@@ -22,7 +22,7 @@ from .counting import count_motif, parse_motif
 from .formulas import ExtremalParams
 from .graphs import Graph6Error, to_graph6
 from .matching import fractional_certificate, matching_number, nu_star_fast
-from .verifier import DEFAULT_CONVEXITY_GRIDS, VerifySpec, verify_bound, \
+from .verifier import DEFAULT_CONVEXITY_GRIDS, THEOREMS, VerifySpec, verify_bound, \
     verify_convexity, verify_nonexistence, verify_specs
 
 
@@ -112,7 +112,7 @@ def _corpus_or_default(source: str | None, corpus: str | None, n: int) -> str | 
     return corpus
 
 
-def spec_from_mapping(entry, jobs: int | None = None) -> VerifySpec:
+def spec_from_mapping(entry) -> VerifySpec:
     """A VerifySpec from a batch config entry or from parsed arguments.
 
     The keys are those of SPEC_KEYS, and a None value counts as absent.
@@ -135,7 +135,7 @@ def spec_from_mapping(entry, jobs: int | None = None) -> VerifySpec:
         fields["motif"] = parse_motif(fields["motif"])
     fields["corpus"] = _corpus_or_default(fields.get("source"), fields.get("corpus"),
                                           fields["n"])
-    return VerifySpec(**fields, jobs=jobs)
+    return VerifySpec(**fields)
 
 
 def _spec_entry(args) -> dict:
@@ -145,17 +145,22 @@ def _spec_entry(args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.nonexistence:
+        unread = [key for key in ("theorem", "motif", "k", "d", "delta_mode")
+                  if getattr(args, key) is not None]
+        if unread:
+            flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+            raise ValueError(f"--nonexistence does not take {flags}")
         if args.s2 is None or args.delta is None:
             raise ValueError("--nonexistence needs --s2 and --delta")
         corpus = _corpus_or_default(args.source, args.corpus, args.n)
         report = verify_nonexistence(args.n, args.s2, args.delta,
-                                     source=args.source, corpus=corpus,
+                                     source=args.source or "native", corpus=corpus,
                                      jobs=args.jobs)
         _emit(report.to_json_dict())
         return 0 if report.verdict == "no-graphs" else 1
     if args.theorem is None:
         raise ValueError("verify needs --theorem (or --nonexistence)")
-    report = verify_bound(spec_from_mapping(_spec_entry(args), args.jobs))
+    report = verify_bound(spec_from_mapping(_spec_entry(args)), args.jobs)
     _emit(report.to_json_dict())
     return 0 if report.verdict != "bound-violated" else 1
 
@@ -166,7 +171,7 @@ def cmd_batch(args) -> int:
     if not isinstance(entries, list):
         raise ValueError("batch config must be a JSON array of verify specs")
     # validate everything up front; nothing runs if any spec is bad
-    reports = verify_specs([spec_from_mapping(e, args.jobs) for e in entries])
+    reports = verify_specs([spec_from_mapping(e) for e in entries], args.jobs)
     aggregated = {
         "reports": [r.to_json_dict() for r in reports],
         "all_exact": all(r.verdict == "exact-match" for r in reports),
@@ -242,15 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include an optimal half-integral weighting")
         p.set_defaults(func=func)
 
+    def add_question(p, theorem_required):
+        p.add_argument("--theorem", required=theorem_required, choices=THEOREMS)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--s2", type=int, help="doubled fractional matching number 2s")
+        p.add_argument("--delta", type=int, help="minimum degree")
+        p.add_argument("--motif", help="clique:L or biclique:R1,R2")
+        p.add_argument("--k", type=int, help="matching number (theorem 1.1)")
+        p.add_argument("--d", type=int, help="maximum degree cap (theorem 1.2)")
+        p.add_argument("--delta-mode", choices=["exact", "at-least"], help="default exact")
+
     p = sub.add_parser("bound", help="evaluate a theorem bound")
-    p.add_argument("--theorem", required=True, choices=["1.1", "1.2", "1.4", "1.6", "1.9"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s2", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--motif")
-    p.add_argument("--k", type=int, help="matching number (theorem 1.1)")
-    p.add_argument("--d", type=int, help="maximum degree cap (theorem 1.2)")
-    p.add_argument("--delta-mode", default="exact", choices=["exact", "at-least"])
+    add_question(p, theorem_required=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("family-max", help="maximum motif count over F1/F2")
@@ -266,15 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convexity)
 
     p = sub.add_parser("verify", help="exhaustive scan against a bound")
-    p.add_argument("--theorem", choices=["1.1", "1.2", "1.4", "1.6", "1.9"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s2", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--motif")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--delta-mode", default="exact", choices=["exact", "at-least"])
-    p.add_argument("--source", default="native", choices=["native", "graph6-stream"])
+    add_question(p, theorem_required=False)
+    p.add_argument("--source", choices=["native", "graph6-stream"], help="default native")
     p.add_argument("--corpus", help="graph6 corpus file for the stream source")
     p.add_argument("--jobs", type=_positive_int, help="worker count for the scan")
     p.add_argument("--nonexistence", action="store_true",

@@ -8,13 +8,16 @@ which keeps memory bounded by the chunk size and lets ``jobs > 1`` farm
 chunks to worker processes.  A graph6 stream source (one graph per line,
 decoded straight to masks) feeds the same pipeline for the non-isomorphic
 corpora at n = 8; all filter quantities are preserved by isomorphism, so
-scanning class representatives is enough there.
+scanning class representatives is enough there.  Every scan stops at
+MAX_SCAN_VERTICES; a VerifySpec is the question alone, valid at any n, and
+the worker count is an argument of the scan, not of the spec.
 
 Every scan is one pass: the source yields chunks of masks with their
 invariants, and each spec of a group filters and counts every chunk into
 a fold that keeps the maximum count, the number of passing graphs and the
-WITNESS_CAP smallest witnesses in graph6 order.  None of these depends on
-how the scan was chunked, so a report is byte-identical no matter how many
+WITNESS_CAP smallest witnesses in graph6 order; native workers fold their
+own chunks and send back only these.  None of them depends on how the
+scan was chunked, so a report is byte-identical no matter how many
 workers ran, and ``verify_specs`` serves every spec sharing (n, source,
 corpus) from one pass.
 
@@ -30,13 +33,13 @@ degree stats), so a vectorization bug cannot slip through silently.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,7 @@ from .graphs import Graph, all_labeled_graphs, are_isomorphic, degree_stats, gra
 from .matching import nu_star_deficiency, nu_star_fast
 
 THEOREMS = ("1.1", "1.2", "1.4", "1.6", "1.9")
-NATIVE_MAX_VERTICES = 8
+MAX_SCAN_VERTICES = 8  # masks are uint32 (C(8, 2) = 28 bits), neighbour rows uint8
 WITNESS_CAP = 16
 SPOT_CHECK_STRIDE = 4096
 SPOT_CHECK_FLOOR = 256
@@ -61,7 +64,6 @@ _CHUNK_BITS = 19
 # ---------------------------------------------------------------------------
 # vectorized invariants over edge-mask arrays
 
-_ROW_MAX_VERTICES = 8  # neighbour rows are uint8
 _BLOCK = 1 << 16  # masks per block: the ~2n + 1 uint8 buffers of a block stay in L2
 
 
@@ -87,8 +89,7 @@ def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     Each mask is unpacked into uint8 neighbour rows, and the subsets S are
     walked depth first so that N(S) = N(S - {v}) | row[v]: one OR, popcount,
     add and minimum per S, in blocks of _BLOCK masks."""
-    if n > _ROW_MAX_VERTICES:
-        raise ValueError(f"mask invariants limited to n <= {_ROW_MAX_VERTICES}")
+    _check_source(n, "native", None)
     total = len(masks)
     nu2 = np.empty(total, dtype=np.uint8)
     mind = np.empty(total, dtype=np.uint8)
@@ -200,29 +201,34 @@ def clear_caches() -> None:
     that reset the verifier before each timed call."""
 
 
-def _check_source(n: int, source: str, corpus: str | Path | None) -> None:
-    """Raise ValueError unless (n, source, corpus) names a scan."""
-    if source == "native":
-        if n > NATIVE_MAX_VERTICES:
-            raise ValueError(f"native enumeration limited to n <= {NATIVE_MAX_VERTICES}")
-    elif source == "graph6-stream":
+def _check_source(n: int | None, source: str, corpus: str | Path | None) -> None:
+    """Raise ValueError unless (source, corpus) names a scan source and, if
+    n is given, every source can scan n-vertex graphs."""
+    if source == "graph6-stream":
         if corpus is None:
             raise ValueError("graph6-stream source needs a corpus path")
-    else:
+    elif source != "native":
         raise ValueError(f"unknown source {source!r}")
+    if n is not None and n > MAX_SCAN_VERTICES:
+        raise ValueError(f"scans limited to n <= {MAX_SCAN_VERTICES}")
 
 
-def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray], start: int = 0,
-                total: int | None = None) -> None:
-    """Re-derive sampled entries through the scalar APIs; raise on mismatch.
+def _spot_sample(masks: np.ndarray, inv: dict[str, np.ndarray], start: int,
+                 total: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The spot-check sample among ``masks``, entries start, start + 1, ...
+    of a scan of ``total`` graphs, with its invariants.
 
-    ``masks`` are entries start, start + 1, ... of a scan of ``total``
-    graphs (by default the masks are the whole scan).  The sample is every
-    stride-th entry of the whole scan, with stride SPOT_CHECK_STRIDE or less
-    so that at least min(total, SPOT_CHECK_FLOOR) entries are checked."""
-    total = len(masks) if total is None else total
+    The sample is every stride-th entry of the whole scan, with stride
+    SPOT_CHECK_STRIDE or less so that at least min(total, SPOT_CHECK_FLOOR)
+    entries are checked."""
     stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
-    for idx in range(-start % stride, len(masks), stride):
+    pick = slice(-start % stride, None, stride)
+    return masks[pick], {key: values[pick] for key, values in inv.items()}
+
+
+def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
+    """Re-derive every entry through the scalar APIs; raise on mismatch."""
+    for idx in range(len(masks)):
         g = Graph.from_edge_mask(n, int(masks[idx]))
         nu_fast = nu_star_fast(g).doubled
         nu_slow = nu_star_deficiency(g)[0].doubled
@@ -286,7 +292,7 @@ def native_invariants(n: int, jobs: int | None = None):
     tasks = [(n, r) for r in ranges]
     for r, inv in zip(ranges, _in_order(_native_chunk, tasks, jobs or os.cpu_count() or 1)):
         masks = _arange(r)
-        _spot_check(n, masks, inv, r.start, ranges[-1].stop)
+        _spot_check(n, *_spot_sample(masks, inv, r.start, ranges[-1].stop))
         yield masks, inv
 
 
@@ -298,12 +304,9 @@ def _stream_masks(path: str | Path, n: int):
         yield mask
 
 
-def _mask_chunks(n: int, source: str, corpus: str | Path | None):
-    """uint32 edge-mask arrays of at most 2^_CHUNK_BITS graphs, in scan order."""
-    if source == "native":
-        yield from map(_arange, _native_ranges(n))
-        return
-    masks = _stream_masks(corpus, n)
+def _stream_chunks(path: str | Path, n: int):
+    """uint32 edge-mask arrays of at most 2^_CHUNK_BITS graphs, in file order."""
+    masks = _stream_masks(path, n)
     while (chunk := np.fromiter(itertools.islice(masks, 1 << _CHUNK_BITS),
                                 dtype=np.uint32)).size:
         yield chunk
@@ -312,7 +315,8 @@ def _mask_chunks(n: int, source: str, corpus: str | Path | None):
 def load_stream(path: str | Path, expect_n: int):
     """(masks, invariants) for each chunk of a graph6 corpus, in file order;
     the corpus is read once, so it may be a pipe."""
-    chunks = _mask_chunks(expect_n, "graph6-stream", path)
+    _check_source(expect_n, "graph6-stream", path)
+    chunks = _stream_chunks(path, expect_n)
     # the spot-check stride depends on the scan's length only up to
     # SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR graphs: read that far ahead
     ahead, total = [], 0
@@ -324,7 +328,7 @@ def load_stream(path: str | Path, expect_n: int):
     start = 0
     for masks in itertools.chain(ahead, chunks):
         inv = mask_invariants(expect_n, masks)
-        _spot_check(expect_n, masks, inv, start, total)
+        _spot_check(expect_n, *_spot_sample(masks, inv, start, total))
         start += len(masks)
         yield masks, inv
 
@@ -370,14 +374,13 @@ class VerifySpec:
     corpus: str | None = None
     k: int | None = None  # matching number, theorem 1.1
     d: int | None = None  # maximum degree cap, theorem 1.2
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {self.theorem!r}")
         if self.delta_mode not in ("exact", "at-least"):
             raise ValueError(f"bad delta_mode {self.delta_mode!r}")
-        _check_source(self.n, self.source, self.corpus)
+        _check_source(None, self.source, self.corpus)  # bounds hold at any n
         reads = _READS[self.theorem]
         fixed = _FIXED.get(self.theorem, {})
         for param in fields(self):
@@ -469,9 +472,6 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
     """Bit-reversed masks; ascending order equals graph6 string order."""
@@ -514,38 +514,67 @@ class _Fold:
     def add(self, n: int, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> None:
         t0 = time.perf_counter()
         hit = masks[self.select(masks, inv)]
+        part = _Fold(self.select, self.motif, passed=hit.size)
         if hit.size:
-            self.passed += hit.size
-            top = 0
+            part.best = 0
             if self.motif is not None:
                 counts = count_motif_vector(n, hit, self.motif)
-                top = int(counts.max())
-                hit = hit[counts == top]
-            if self.best is None or top > self.best:
-                self.best, self.smallest = top, []
-            if top == self.best:
+                part.best = int(counts.max())
+                hit = hit[counts == part.best]
+            if self.best is None or part.best >= self.best:
                 keys = _graph6_sort_keys(n, hit)
                 first = np.argsort(keys, kind="stable")[:WITNESS_CAP]
-                self.smallest = sorted(self.smallest + [(int(keys[i]), int(hit[i]))
-                                                        for i in first])[:WITNESS_CAP]
-        self.seconds += time.perf_counter() - t0
+                part.smallest = [(int(keys[i]), int(hit[i])) for i in first]
+        part.seconds = time.perf_counter() - t0
+        self.merge(part)
+
+    def merge(self, later: _Fold) -> None:
+        """Fold in the result of a later part of the same scan."""
+        self.passed += later.passed
+        self.seconds += later.seconds
+        if later.best is None or (self.best is not None and later.best < self.best):
+            return
+        if self.best is None or later.best > self.best:
+            self.best, self.smallest = later.best, []
+        self.smallest = sorted(self.smallest + later.smallest)[:WITNESS_CAP]
 
     def witnesses(self, n: int) -> list[Graph]:
         return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
 
 
+def _fold_native_chunk(task: tuple) -> tuple[list[_Fold], tuple | None]:
+    """The masks in r folded into empty folds, and their spot-check sample
+    (None without invariants): all a worker sends back, never the arrays."""
+    n, r, total, folds, invariants = task
+    masks = _arange(r)
+    inv = mask_invariants(n, masks) if invariants else None
+    for fold in folds:
+        fold.add(n, masks, inv)
+    return folds, None if inv is None else _spot_sample(masks, inv, r.start, total)
+
+
 def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
                folds: list[_Fold], invariants: bool = True) -> int:
-    """Feed each chunk of one scan to every fold, in scan order; returns the
-    number of graphs scanned.  With ``invariants`` false no invariants are
-    computed and the folds get None in their place."""
-    _check_source(n, source, corpus)
-    if not invariants:
-        chunks = ((masks, None) for masks in _mask_chunks(n, source, corpus))
-    elif source == "native":
-        chunks = native_invariants(n, jobs)
-    else:
+    """Fold every chunk of one scan into every fold, in scan order; returns
+    the number of graphs scanned.  With ``invariants`` false no invariants
+    are computed, the folds get None in their place and no worker starts."""
+    if source == "native":
+        ranges = _native_ranges(n)
+        total = ranges[-1].stop
+        tasks = [(n, r, total, [_Fold(f.select, f.motif) for f in folds], invariants)
+                 for r in ranges]
+        # workers compute invariants; a scan without them runs in this process
+        workers = (jobs or os.cpu_count() or 1) if invariants else 1
+        for parts, sample in _in_order(_fold_native_chunk, tasks, workers):
+            if sample is not None:
+                _spot_check(n, *sample)
+            for fold, part in zip(folds, parts):
+                fold.merge(part)
+        return total
+    if invariants:
         chunks = load_stream(corpus, n)
+    else:
+        chunks = ((masks, None) for masks in _stream_chunks(corpus, n))
     scanned = 0
     for masks, inv in chunks:
         scanned += len(masks)
@@ -572,18 +601,19 @@ def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
                               verdict, matches, elapsed)
 
 
-def verify_specs(specs: list[VerifySpec]) -> list[VerificationReport]:
+def verify_specs(specs: list[VerifySpec], jobs: int | None = None) -> list[VerificationReport]:
     """Verify every spec: scan all graphs passing its filter and compare the
     maximum motif count against the theorem bound.  Reports come in input
-    order.
+    order, and do not depend on ``jobs``, the scan's worker count.
 
     Specs sharing (n, source, corpus) are served by one scan, which computes
     invariants only if some spec of the group reads them (all but theorem
-    1.1 do) and runs with the first spec's jobs (reports do not depend on
-    it).  A report's elapsed_ms is its own filter, count and witness time;
-    the first report of a group also carries the shared scan time."""
+    1.1 do); every spec's scan is checked before the first one starts.  A
+    report's elapsed_ms is its own filter, count and witness time; the first
+    report of a group also carries the shared scan time."""
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
+        _check_source(spec.n, spec.source, spec.corpus)
         groups.setdefault((spec.n, spec.source, spec.corpus), []).append(i)
     reports: list = [None] * len(specs)
     for (n, source, corpus), members in groups.items():
@@ -591,19 +621,20 @@ def verify_specs(specs: list[VerifySpec]) -> list[VerificationReport]:
         group = [specs[i] for i in members]
         bounds = [spec.bound() for spec in group]
         folds = [_Fold(spec.select, spec.effective_motif()) for spec in group]
-        scanned = _fold_scan(n, source, corpus, group[0].jobs, folds,
+        scanned = _fold_scan(n, source, corpus, jobs, folds,
                              invariants=any(spec.theorem != "1.1" for spec in group))
-        shared = time.perf_counter() - t0 - sum(fold.seconds for fold in folds)
+        # fold times add up across workers, so they may exceed the wall time
+        shared = max(0.0, time.perf_counter() - t0 - sum(fold.seconds for fold in folds))
         for i, spec, bound, fold in zip(members, group, bounds, folds):
             reports[i] = _report(spec, bound, fold, scanned, shared)
             shared = 0.0
     return reports
 
 
-def verify_bound(spec: VerifySpec) -> VerificationReport:
+def verify_bound(spec: VerifySpec, jobs: int | None = None) -> VerificationReport:
     """Scan all graphs passing the spec's filter and compare the maximum
     motif count against the theorem bound."""
-    return verify_specs([spec])[0]
+    return verify_specs([spec], jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +662,11 @@ class NonexistenceReport:
         }
 
 
+def _refutes(s2: int, delta: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> np.ndarray:
+    """Boolean array: nu* = s2/2 and minimum degree at least delta."""
+    return (inv["nu2"] == s2) & (inv["mind"] >= delta)
+
+
 def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
                         corpus: str | Path | None = None,
                         jobs: int | None = None) -> NonexistenceReport:
@@ -641,8 +677,9 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
         raise ValueError(f"delta = {delta} is feasible (cap {cap}); nothing to refute")
     if n < s2 + 1:
         raise ValueError(f"need n >= {s2 + 1}")
+    _check_source(n, source, corpus)
     t0 = time.perf_counter()
-    fold = _Fold(lambda masks, inv: (inv["nu2"] == s2) & (inv["mind"] >= delta), None)
+    fold = _Fold(partial(_refutes, s2, delta), None)
     scanned = _fold_scan(n, source, corpus, jobs, [fold])
     examples = tuple(to_graph6(g) for g in fold.witnesses(n))
     verdict = "no-graphs" if fold.passed == 0 else "counterexample-found"

@@ -116,6 +116,16 @@ def test_bound_golden(capsys):
       "--motif", "biclique:1,2"], "29"),
     (["bound", "--theorem", "1.6", "--n", "7", "--s2", "4", "--delta", "1",
       "--motif", "clique:2", "--delta-mode", "at-least"], "11"),
+    # bounds hold for every n >= 2s + 1, beyond what a scan can reach
+    (["bound", "--theorem", "1.1", "--n", "30", "--k", "4"], "110"),
+    (["bound", "--theorem", "1.2", "--n", "20", "--s2", "6", "--d", "4"], "12"),
+    (["bound", "--theorem", "1.4", "--n", "12", "--s2", "6"], "30"),
+    (["bound", "--theorem", "1.6", "--n", "20", "--s2", "6", "--delta", "1",
+      "--motif", "clique:3"], "49"),
+    (["bound", "--theorem", "1.6", "--n", "20", "--s2", "6", "--delta", "1",
+      "--motif", "clique:3", "--delta-mode", "at-least"], "52"),
+    (["bound", "--theorem", "1.9", "--n", "20", "--s2", "7", "--delta", "2",
+      "--motif", "biclique:2,2"], "165"),
 ])
 def test_bound_values(capsys, argv, expected):
     code, out, _ = run(capsys, argv)
@@ -264,6 +274,37 @@ def test_verify_nonexistence(capsys):
     assert json.loads(out)["verdict"] == "no-graphs"
 
 
+@pytest.mark.parametrize("question, flags", [
+    (["--theorem", "1.2"], ["--theorem"]),
+    (["--motif", "clique:3"], ["--motif"]),
+    (["--k", "0"], ["--k"]),
+    (["--d", "1"], ["--d"]),
+    (["--delta-mode", "exact"], ["--delta-mode"]),
+    (["--theorem", "1.2", "--motif", "clique:3", "--k", "4", "--d", "1",
+      "--delta-mode", "at-least"], ["--theorem", "--motif", "--k", "--d", "--delta-mode"]),
+])
+def test_nonexistence_rejects_question_flags(capsys, question, flags):
+    code, out, err = run(capsys, ["verify", "--nonexistence", "--n", "6", "--s2", "5",
+                                  "--delta", "2", *question])
+    assert code == 2 and not out and "error" in err
+    assert all(flag in err for flag in flags)
+
+
+@pytest.mark.parametrize("source", ["native", "graph6-stream"])
+@pytest.mark.parametrize("question", [
+    ["--theorem", "1.6", "--s2", "4", "--delta", "1", "--motif", "clique:2"],
+    ["--theorem", "1.1", "--k", "2"],
+    ["--nonexistence", "--s2", "4", "--delta", "3"],
+])
+def test_verify_stops_at_the_scan_limit(capsys, tmp_path, source, question):
+    corpus = tmp_path / "k9.g6"
+    corpus.write_text("H~~~~~~\n")  # K9
+    scan = ["--source", source] + (["--corpus", str(corpus)] if source != "native" else [])
+    code, out, err = run(capsys, ["verify", "--n", "9", *question, *scan])
+    assert code == 2 and not out
+    assert "n <= 8" in err and "uint32" not in err
+
+
 def test_verify_rejects_bad_spec(capsys):
     code, _, err = run(capsys, ["verify", "--theorem", "1.6", "--n", "6",
                                 "--s2", "4", "--delta", "3",
@@ -294,16 +335,25 @@ def test_batch_small(capsys, tmp_path):
 
 
 def test_batch_validates_before_running(capsys, tmp_path):
-    config = tmp_path / "specs.json"
-    config.write_text(json.dumps([
-        {"theorem": "1.6", "n": 5, "s2": 4, "delta": 1, "motif": "clique:2"},
+    corpus = tmp_path / "k9.g6"
+    corpus.write_text("H~~~~~~\n")  # K9
+    for bad in [
         {"theorem": "1.6", "n": 4, "s2": 4, "delta": 1, "motif": "clique:2"},
-    ]))
-    out_json = tmp_path / "report.json"
-    code, out, err = run(capsys, ["batch", "--config", str(config),
-                                  "--out", str(out_json)])
-    assert code == 2
-    assert not out_json.exists()  # nothing ran, nothing written
+        # beyond the scan limit, on either source
+        {"theorem": "1.6", "n": 9, "s2": 4, "delta": 1, "motif": "clique:2"},
+        {"theorem": "1.6", "n": 9, "s2": 4, "delta": 1, "motif": "clique:2",
+         "source": "graph6-stream", "corpus": str(corpus)},
+    ]:
+        config = tmp_path / "specs.json"
+        config.write_text(json.dumps([
+            {"theorem": "1.6", "n": 5, "s2": 4, "delta": 1, "motif": "clique:2"},
+            bad,
+        ]))
+        out_json = tmp_path / "report.json"
+        code, out, err = run(capsys, ["batch", "--config", str(config),
+                                      "--out", str(out_json)])
+        assert code == 2
+        assert not out_json.exists()  # nothing ran, nothing written
 
 
 @pytest.mark.parametrize("entry", [

@@ -222,12 +222,11 @@ def test_determinism():
 
 
 def test_parallel_merge_matches_serial():
-    spec_serial = VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2), jobs=1)
+    spec = VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2))
     clear_caches()
-    a = verify_bound(spec_serial).to_json_dict()
+    a = verify_bound(spec, jobs=1).to_json_dict()
     clear_caches()
-    spec_par = VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2), jobs=2)
-    b = verify_bound(spec_par).to_json_dict()
+    b = verify_bound(spec, jobs=2).to_json_dict()
     clear_caches()
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     a["spec"].pop("jobs", None), b["spec"].pop("jobs", None)
@@ -496,7 +495,7 @@ def test_jobs_do_not_change_reports(monkeypatch):
              VerifySpec("1.2", 6, s2=4, d=3), VerifySpec("1.1", 6, k=2)]
 
     def run(jobs):
-        reports = verify_specs([replace(spec, jobs=jobs) for spec in specs])
+        reports = verify_specs(specs, jobs=jobs)
         absent = verify_nonexistence(6, 5, 2, jobs=jobs).to_json_dict()
         absent.pop("elapsed_ms")
         return [report_fields(r) for r in reports], absent
@@ -535,6 +534,48 @@ def test_pool_keeps_at_most_two_tasks_per_worker_ahead(monkeypatch):
         assert len(submitted) - consumed <= 2 * jobs
     assert len(submitted) == 20
 
+
+
+def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
+    import pickle
+
+    import fracmatch.verifier as V
+
+    sizes = []
+
+    class PicklingPool:
+        """Runs each task when it is submitted, through pickle both ways
+        like a process pool, and records the size of each result."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, task):
+            result = pickle.dumps(fn(pickle.loads(pickle.dumps(task))))
+            sizes.append(len(result))
+            future = Future()
+            future.set_result(pickle.loads(result))
+            return future
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
+    specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)), VerifySpec("1.1", 6, k=2)]
+
+    def run(jobs):
+        absent = verify_nonexistence(6, 5, 2, jobs=jobs).to_json_dict()
+        absent.pop("elapsed_ms")
+        return [report_fields(r) for r in verify_specs(specs, jobs=jobs)], absent
+
+    serial = run(1)
+    monkeypatch.setattr(V, "ProcessPoolExecutor", PicklingPool)
+    assert run(2) == serial
+    # the invariants of one chunk alone would take 3 * 4096 bytes
+    assert len(sizes) == 16 and max(sizes) < 4096
 
 def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
     from fracmatch.corpus import write_corpus
