@@ -21,7 +21,6 @@ from .graphs import Graph, Graph6Error, are_isomorphic, complement, \
 from .matching import DeficiencyWitness, FractionalCertificate, HalfInt, \
     fractional_certificate, matching_number, nu_star_deficiency, nu_star_fast
 from .verifier import ConvexityReport, NonexistenceReport, VerificationReport, \
-    VerifySpec, enumerate_graphs, verify_bound, verify_convexity, \
-    verify_nonexistence, verify_specs
+    VerifySpec, verify_bound, verify_convexity, verify_nonexistence, verify_specs
 
 __version__ = "0.1.0"

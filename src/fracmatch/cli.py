@@ -4,7 +4,8 @@ Subcommands: construct, nu-star, matching, count, bound, family-max,
 convexity, verify, batch, gen-corpus.  Structured results go to stdout as
 JSON (counts as decimal strings); diagnostics go to stderr.  Exit codes:
 0 success/verified, 1 bound violated or counterexample found, 2 invalid
-arguments, 3 I/O or format error.
+arguments, 3 I/O or format error, 4 internal check failed (two independent
+routes disagreed, as in a spot check; a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

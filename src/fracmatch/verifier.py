@@ -1,33 +1,33 @@
 """Exhaustive small-graph verification of the extremal bounds.
 
-The native source enumerates every labeled graph on n vertices as an edge
-bitmask and evaluates the filter invariants (doubled fractional matching
-number, minimum/maximum degree, matching number) for all of them with
-vectorized numpy passes; the mask space is partitioned into fixed chunks,
-which keeps memory bounded by the chunk size and lets ``jobs > 1`` farm
-chunks to worker processes.  A graph6 stream source (one graph per line,
-decoded straight to masks) feeds the same pipeline for the non-isomorphic
-corpora at n = 8; all filter quantities are preserved by isomorphism, so
-scanning class representatives is enough there.  Every scan stops at
+A scan reads one of two sources as chunks of edge bitmasks: the native
+source covers every labeled graph on n vertices in fixed mask ranges, and
+the graph6 stream source decodes a non-isomorphic corpus, one graph per
+line, straight to masks (all filter quantities are preserved by
+isomorphism, so class representatives are enough).  Every scan stops at
 MAX_SCAN_VERTICES; a VerifySpec is the question alone, valid at any n, and
 the worker count is an argument of the scan, not of the spec.
 
-Every scan is one pass: the source yields chunks of masks with their
-invariants, and each spec of a group filters and counts every chunk into
-a fold that keeps the maximum count, the number of passing graphs and the
-WITNESS_CAP smallest witnesses in graph6 order; native workers fold their
-own chunks and send back only these.  None of them depends on how the
-scan was chunked, so a report is byte-identical no matter how many
-workers ran, and ``verify_specs`` serves every spec sharing (n, source,
-corpus) from one pass.
+Every chunk of either source takes one path: it gets its invariants
+(doubled fractional matching number, minimum/maximum degree) from
+vectorized numpy passes unless no spec reads them, and each spec of a
+group filters and counts it into a fold that keeps the maximum count, the
+number of passing graphs and the WITNESS_CAP smallest witnesses in graph6
+order.  With ``jobs > 1`` and more than one chunk, workers fold chunks and
+send back only the folds and a spot-check sample; theorem 1.1 scans read
+no invariants and run in the calling process.  No fold depends on the
+chunking, so a report is byte-identical for any worker count, and
+``verify_specs`` serves every spec sharing (n, source, corpus) from one
+pass.
 
 The vectorized nu* is not the scalar algorithm: it evaluates the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
 S of (n - |S| + |N(S)|), on byte-wide neighbour rows (see
-``mask_invariants``).  Every scan cross-validates it: one mask in 4096, and
-at least 256 per scan (all of them in smaller scans), is re-checked
-through the scalar per-graph APIs (deficiency scan, double cover matching,
-degree stats), so a vectorization bug cannot slip through silently.
+``mask_invariants``).  Every scan cross-validates it in the calling
+process: one mask in 4096, and at least 256 per scan (all of them in
+smaller scans), is re-checked through the scalar per-graph APIs
+(deficiency scan, double cover matching, degree stats), so a
+vectorization bug cannot slip through silently.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .constructions import build_extremal
 from .corpus import read_graph6_stream
 from .counting import Biclique, Clique, Motif
 from .formulas import feasible_t_max
-from .graphs import Graph, all_labeled_graphs, are_isomorphic, degree_stats, graph6_mask, \
-    pair_index, to_graph6
+from .graphs import Graph, are_isomorphic, degree_stats, graph6_mask, pair_index, to_graph6
 from .matching import nu_star_deficiency, nu_star_fast
 
 THEOREMS = ("1.1", "1.2", "1.4", "1.6", "1.9")
-MAX_SCAN_VERTICES = 8  # masks are uint32 (C(8, 2) = 28 bits), neighbour rows uint8
+MAX_SCAN_VERTICES = 8  # masks are MASK_DTYPE (C(8, 2) = 28 bits), neighbour rows uint8
+MASK_DTYPE = np.uint32
 WITNESS_CAP = 16
 SPOT_CHECK_STRIDE = 4096
 SPOT_CHECK_FLOOR = 256
@@ -156,7 +156,7 @@ def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(masks.shape, dtype=bool)
     hit = np.zeros(masks.shape, dtype=bool)
     for m in matching_at_least_masks(n, k):
-        mm = np.uint32(m)
+        mm = masks.dtype.type(m)
         hit |= (masks & mm) == mm
     return hit
 
@@ -188,13 +188,13 @@ def motif_masks(n: int, motif: Motif) -> list[int]:
 def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
     counts = np.zeros(masks.shape, dtype=np.int64)
     for m in motif_masks(n, motif):
-        mm = np.uint32(m)
+        mm = masks.dtype.type(m)
         counts += (masks & mm) == mm
     return counts
 
 
 # ---------------------------------------------------------------------------
-# scan sources: chunks of edge masks, with their invariants
+# scan sources: (chunk, start, total) for each chunk of a scan, in scan order
 
 def clear_caches() -> None:
     """Does nothing: no scan keeps state between calls.  Kept for callers
@@ -202,15 +202,67 @@ def clear_caches() -> None:
 
 
 def _check_source(n: int | None, source: str, corpus: str | Path | None) -> None:
-    """Raise ValueError unless (source, corpus) names a scan source and, if
-    n is given, every source can scan n-vertex graphs."""
+    """Raise ValueError unless (source, corpus) names a scan source, with a
+    corpus exactly when the source reads one, and, if n is given, every
+    source can scan n-vertex graphs."""
     if source == "graph6-stream":
         if corpus is None:
             raise ValueError("graph6-stream source needs a corpus path")
     elif source != "native":
         raise ValueError(f"unknown source {source!r}")
+    elif corpus is not None:
+        raise ValueError(f"the native source reads no corpus (got {corpus})")
     if n is not None and n > MAX_SCAN_VERTICES:
         raise ValueError(f"scans limited to n <= {MAX_SCAN_VERTICES}")
+
+
+def _native_chunks(n: int):
+    """The labeled masks 0 .. 2^C(n,2) - 1 as ranges of 2^_CHUNK_BITS, which
+    stay cheap to send to a worker."""
+    total, step = 1 << (n * (n - 1) // 2), 1 << _CHUNK_BITS
+    for lo in range(0, total, step):
+        yield range(lo, min(lo + step, total)), lo, total
+
+
+def load_stream(path: str | Path, n: int):
+    """The edge masks of a graph6 corpus in chunks of 2^_CHUNK_BITS, in file
+    order, decoded without Graph objects.  The corpus is read once, so it
+    may be a pipe: ``total`` is its length only up to SPOT_CHECK_STRIDE *
+    SPOT_CHECK_FLOOR graphs, read ahead, as the spot-check stride depends
+    on no more."""
+    _check_source(n, "graph6-stream", path)
+
+    def decoded():
+        for lineno, (order, mask) in read_graph6_stream(path, decode=graph6_mask):
+            if order != n:
+                raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
+            yield mask
+
+    masks, step = decoded(), 1 << _CHUNK_BITS
+    ahead = np.fromiter(itertools.islice(masks, SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR),
+                        dtype=MASK_DTYPE)
+    total = len(ahead)
+    for start in range(0, total, step):
+        yield ahead[start:start + step], start, total
+    start = total
+    while (chunk := np.fromiter(itertools.islice(masks, step), dtype=MASK_DTYPE)).size:
+        yield chunk, start, total
+        start += chunk.size
+
+
+def _as_masks(chunk: range | np.ndarray) -> np.ndarray:
+    """A chunk's masks; a native range becomes an array where it is folded."""
+    return np.arange(chunk.start, chunk.stop, dtype=MASK_DTYPE) \
+        if isinstance(chunk, range) else chunk
+
+
+def native_invariants(n: int):
+    """(masks, invariants) for each chunk of the 2^C(n,2) labeled graphs, in
+    mask order, computed here without folds or spot check: a serial view of
+    the native source for callers that time the invariants alone."""
+    for chunk, _, _ in _native_chunks(n):
+        masks = _as_masks(chunk)
+        yield masks, mask_invariants(n, masks)
 
 
 def _spot_sample(masks: np.ndarray, inv: dict[str, np.ndarray], start: int,
@@ -242,105 +294,29 @@ def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
             raise AssertionError(f"degree spot check failed at mask {int(masks[idx])}")
 
 
-def _native_ranges(n: int) -> list[range]:
-    """The labeled masks 0 .. 2^C(n,2) - 1, in chunks of 2^_CHUNK_BITS."""
-    total = 1 << (n * (n - 1) // 2)
-    step = 1 << _CHUNK_BITS
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _arange(r: range) -> np.ndarray:
-    return np.arange(r.start, r.stop, dtype=np.uint32)
-
-
-def _native_chunk(task: tuple[int, range]) -> dict[str, np.ndarray]:
-    n, r = task
-    return mask_invariants(n, _arange(r))
-
-
-def _in_order(fn: Callable, tasks: list, jobs: int):
-    """fn(task) for each task, in task order.  With jobs > 1 a process pool
-    runs them, submitted at most 2 * jobs ahead of the consumer, so the
-    results held at once stay bounded."""
-    if jobs < 2 or len(tasks) < 2:
-        yield from map(fn, tasks)
+def _in_order(fn: Callable, tasks, jobs: int):
+    """fn(task) for each task of an iterable, in task order.  With jobs > 1
+    and more than one task a pool of min(jobs, tasks) processes runs them,
+    submitted at most 2 * jobs ahead of the consumer, so the results held
+    at once stay bounded."""
+    tasks = iter(tasks)
+    first = list(itertools.islice(tasks, jobs))  # the pool starts all its workers at once
+    if len(first) < 2:
+        yield from map(fn, itertools.chain(first, tasks))
         return
     try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
-        ahead = deque([pool.submit(fn, tasks[0])])  # starts the workers
+        pool = ProcessPoolExecutor(max_workers=len(first))
+        ahead = deque([pool.submit(fn, first[0])])  # starts the workers
     except OSError:  # process pools unavailable; fall back to serial
-        yield from map(fn, tasks)
+        yield from map(fn, itertools.chain(first, tasks))
         return
     with pool:
-        for task in tasks[1:]:
+        for task in itertools.chain(first[1:], tasks):
             if len(ahead) == 2 * jobs:
                 yield ahead.popleft().result()
             ahead.append(pool.submit(fn, task))
         while ahead:
             yield ahead.popleft().result()
-
-
-def native_invariants(n: int, jobs: int | None = None):
-    """(masks, invariants) for each chunk of the 2^C(n,2) labeled graphs,
-    in mask order.
-
-    With jobs > 1 (default: one per CPU) worker processes compute the
-    chunk invariants; the spot check runs here, on the whole scan's
-    sample."""
-    _check_source(n, "native", None)
-    ranges = _native_ranges(n)
-    tasks = [(n, r) for r in ranges]
-    for r, inv in zip(ranges, _in_order(_native_chunk, tasks, jobs or os.cpu_count() or 1)):
-        masks = _arange(r)
-        _spot_check(n, *_spot_sample(masks, inv, r.start, ranges[-1].stop))
-        yield masks, inv
-
-
-def _stream_masks(path: str | Path, n: int):
-    """Edge masks of the graphs of a graph6 file, decoded without Graph objects."""
-    for lineno, (order, mask) in read_graph6_stream(path, decode=graph6_mask):
-        if order != n:
-            raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
-        yield mask
-
-
-def _stream_chunks(path: str | Path, n: int):
-    """uint32 edge-mask arrays of at most 2^_CHUNK_BITS graphs, in file order."""
-    masks = _stream_masks(path, n)
-    while (chunk := np.fromiter(itertools.islice(masks, 1 << _CHUNK_BITS),
-                                dtype=np.uint32)).size:
-        yield chunk
-
-
-def load_stream(path: str | Path, expect_n: int):
-    """(masks, invariants) for each chunk of a graph6 corpus, in file order;
-    the corpus is read once, so it may be a pipe."""
-    _check_source(expect_n, "graph6-stream", path)
-    chunks = _stream_chunks(path, expect_n)
-    # the spot-check stride depends on the scan's length only up to
-    # SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR graphs: read that far ahead
-    ahead, total = [], 0
-    for masks in chunks:
-        ahead.append(masks)
-        total += len(masks)
-        if total >= SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR:
-            break
-    start = 0
-    for masks in itertools.chain(ahead, chunks):
-        inv = mask_invariants(expect_n, masks)
-        _spot_check(expect_n, *_spot_sample(masks, inv, start, total))
-        start += len(masks)
-        yield masks, inv
-
-
-def enumerate_graphs(n: int, source: str = "native", corpus: str | Path | None = None):
-    """Stream of graphs: every labeled graph (native) or corpus lines decoded."""
-    _check_source(n, source, corpus)
-    if source == "native":
-        yield from all_labeled_graphs(n)
-    else:
-        for mask in _stream_masks(corpus, n):
-            yield Graph.from_edge_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +452,10 @@ class VerificationReport:
 def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
     """Bit-reversed masks; ascending order equals graph6 string order."""
     m = n * (n - 1) // 2
-    rev = np.zeros(masks.shape, dtype=np.uint32)
+    rev = np.zeros_like(masks)
+    word = masks.dtype.type
     for p in range(m):
-        rev |= ((masks >> np.uint32(p)) & np.uint32(1)) << np.uint32(m - 1 - p)
+        rev |= ((masks >> word(p)) & word(1)) << word(m - 1 - p)
     return rev
 
 
@@ -542,44 +519,36 @@ class _Fold:
         return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
 
 
-def _fold_native_chunk(task: tuple) -> tuple[list[_Fold], tuple | None]:
-    """The masks in r folded into empty folds, and their spot-check sample
-    (None without invariants): all a worker sends back, never the arrays."""
-    n, r, total, folds, invariants = task
-    masks = _arange(r)
+def _fold_chunk(task: tuple) -> tuple[int, list[_Fold], tuple | None]:
+    """One chunk of a scan folded into empty folds: the chunk's size, the
+    folds and its spot-check sample (None without invariants), all that a
+    worker sends back."""
+    n, chunk, start, total, folds, invariants = task
+    masks = _as_masks(chunk)
     inv = mask_invariants(n, masks) if invariants else None
     for fold in folds:
         fold.add(n, masks, inv)
-    return folds, None if inv is None else _spot_sample(masks, inv, r.start, total)
+    return len(masks), folds, None if inv is None else _spot_sample(masks, inv, start, total)
 
 
 def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
                folds: list[_Fold], invariants: bool = True) -> int:
-    """Fold every chunk of one scan into every fold, in scan order; returns
-    the number of graphs scanned.  With ``invariants`` false no invariants
-    are computed, the folds get None in their place and no worker starts."""
-    if source == "native":
-        ranges = _native_ranges(n)
-        total = ranges[-1].stop
-        tasks = [(n, r, total, [_Fold(f.select, f.motif) for f in folds], invariants)
-                 for r in ranges]
-        # workers compute invariants; a scan without them runs in this process
-        workers = (jobs or os.cpu_count() or 1) if invariants else 1
-        for parts, sample in _in_order(_fold_native_chunk, tasks, workers):
-            if sample is not None:
-                _spot_check(n, *sample)
-            for fold, part in zip(folds, parts):
-                fold.merge(part)
-        return total
-    if invariants:
-        chunks = load_stream(corpus, n)
-    else:
-        chunks = ((masks, None) for masks in _stream_chunks(corpus, n))
+    """Fold every chunk of one scan into every fold, in scan order, and
+    spot-check every chunk's sample here; returns the number of graphs
+    scanned.  With ``invariants`` false no invariants are computed, the
+    folds get None in their place and no worker starts."""
+    chunks = _native_chunks(n) if source == "native" else load_stream(corpus, n)
+    tasks = ((n, chunk, start, total, [_Fold(f.select, f.motif) for f in folds], invariants)
+             for chunk, start, total in chunks)
+    # workers compute invariants; a scan without them runs in this process
+    workers = (jobs or os.cpu_count() or 1) if invariants else 1
     scanned = 0
-    for masks, inv in chunks:
-        scanned += len(masks)
-        for fold in folds:
-            fold.add(n, masks, inv)
+    for size, parts, sample in _in_order(_fold_chunk, tasks, workers):
+        if sample is not None:
+            _spot_check(n, *sample)
+        for fold, part in zip(folds, parts):
+            fold.merge(part)
+        scanned += size
     return scanned
 
 

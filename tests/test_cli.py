@@ -312,6 +312,37 @@ def test_verify_rejects_bad_spec(capsys):
     assert code == 2 and "error" in err
 
 
+def test_native_scan_rejects_a_corpus(capsys, tmp_path):
+    # the native source reads no corpus, so naming one is a bad argument,
+    # in a batch too, before any scan runs
+    unread = str(tmp_path / "absent.g6")
+    question = {"theorem": "1.6", "n": 5, "s2": 4, "delta": 1, "motif": "clique:2"}
+    code, out, err = run(capsys, ["verify", "--theorem", "1.6", "--n", "5", "--s2", "4",
+                                  "--delta", "1", "--motif", "clique:2",
+                                  "--source", "native", "--corpus", unread])
+    assert code == 2 and not out and "reads no corpus" in err
+    config = tmp_path / "specs.json"
+    config.write_text(json.dumps([question, dict(question, source="native", corpus=unread)]))
+    out_json = tmp_path / "report.json"
+    code, _, err = run(capsys, ["batch", "--config", str(config), "--out", str(out_json)])
+    assert code == 2 and "reads no corpus" in err
+    assert not out_json.exists()
+
+
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    # a spot check that disagrees is a bug, not a violated bound (exit 1)
+    from types import SimpleNamespace
+
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "nu_star_deficiency", lambda g: (SimpleNamespace(doubled=-1), None))
+    code, out, err = run(capsys, ["verify", "--theorem", "1.6", "--n", "5", "--s2", "4",
+                                  "--delta", "1", "--motif", "clique:2", "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "spot check" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

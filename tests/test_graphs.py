@@ -94,6 +94,17 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="out of supported range"):
             from_graph6("?")  # n = 0
 
+    @given(st.sampled_from(["", "~", "~~", "~~~"]),
+           st.text(st.one_of(st.characters(min_codepoint=63, max_codepoint=126),
+                             st.characters(),
+                             st.integers(0xD800, 0xDFFF).map(chr))))  # undecodable bytes
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_graph6_error(self, header, body):
+        try:
+            from_graph6(header + body)
+        except Graph6Error:
+            pass
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, data):

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmatch.corpus import read_graph6_stream
 from fracmatch.counting import Biclique, Clique, count_motif
 from fracmatch.formulas import feasible_t_max
-from fracmatch.graphs import Graph, degree_stats, from_graph6, to_graph6
+from fracmatch.graphs import Graph, all_labeled_graphs, degree_stats, from_graph6, to_graph6
 from fracmatch.matching import matching_number, nu_star_deficiency, nu_star_fast
 from fracmatch.verifier import (
     WITNESS_CAP,
     VerifySpec,
     clear_caches,
     count_motif_vector,
-    enumerate_graphs,
-    load_stream,
     mask_invariants,
     matching_number_at_least,
     native_invariants,
@@ -32,7 +31,11 @@ from fracmatch.verifier import (
 def naive_passing(spec: VerifySpec):
     """The graphs passing the spec's filter, through the per-graph public APIs."""
     passing = []
-    for g in enumerate_graphs(spec.n, spec.source, spec.corpus):
+    if spec.source == "native":
+        graphs = all_labeled_graphs(spec.n)
+    else:
+        graphs = (g for _, g in read_graph6_stream(spec.corpus))
+    for g in graphs:
         if spec.theorem == "1.1":
             if matching_number(g) != spec.k:
                 continue
@@ -64,18 +67,6 @@ def naive_verify(spec: VerifySpec):
     return best, len(passing), witnesses[:16]
 
 
-def test_enumerate_counts():
-    assert sum(1 for _ in enumerate_graphs(4)) == 64
-    assert sum(1 for _ in enumerate_graphs(5)) == 1024
-    with pytest.raises(ValueError, match="n <= 8"):
-        next(enumerate_graphs(9))
-
-
-def test_enumerate_stream(corpus8):
-    n = sum(1 for _ in enumerate_graphs(8, "graph6-stream", corpus8))
-    assert n == 12346
-
-
 def test_invariant_arrays_match_scalar_apis(rng):
     from fracmatch.graphs import Graph
 
@@ -94,22 +85,26 @@ def test_matching_number_vector(rng):
     from fracmatch.graphs import Graph
 
     n = 6
-    masks = np.array(rng.sample(range(1 << 15), 200), dtype=np.uint32)
-    for k in (1, 2, 3):
-        flags = matching_number_at_least(n, masks, k)
-        for mask, flag in zip(masks, flags):
-            assert bool(flag) == (matching_number(Graph.from_edge_mask(n, int(mask))) >= k)
+    sample = rng.sample(range(1 << 15), 200)
+    for dtype in (np.uint32, np.uint64):
+        masks = np.array(sample, dtype=dtype)
+        for k in (1, 2, 3):
+            flags = matching_number_at_least(n, masks, k)
+            for mask, flag in zip(masks, flags):
+                assert bool(flag) == (matching_number(Graph.from_edge_mask(n, int(mask))) >= k)
 
 
 def test_count_vector_agrees(rng):
     from fracmatch.graphs import Graph
 
     n = 6
-    masks = np.array(rng.sample(range(1 << 15), 150), dtype=np.uint32)
-    for motif in (Clique(2), Clique(3), Biclique(1, 2), Biclique(2, 2)):
-        counts = count_motif_vector(n, masks, motif)
-        for mask, c in zip(masks, counts):
-            assert int(c) == count_motif(Graph.from_edge_mask(n, int(mask)), motif)
+    sample = rng.sample(range(1 << 15), 150)
+    for dtype in (np.uint32, np.uint64):
+        masks = np.array(sample, dtype=dtype)
+        for motif in (Clique(2), Clique(3), Biclique(1, 2), Biclique(2, 2)):
+            counts = count_motif_vector(n, masks, motif)
+            for mask, c in zip(masks, counts):
+                assert int(c) == count_motif(Graph.from_edge_mask(n, int(mask)), motif)
 
 
 ENGINE_SPECS = [
@@ -259,6 +254,8 @@ def test_spec_validation_errors():
         VerifySpec("1.6", 6, s2=4, delta=3, motif=Clique(2))
     with pytest.raises(ValueError):
         VerifySpec("1.6", 6, s2=4, delta=1, motif=Clique(2), source="graph6-stream")
+    with pytest.raises(ValueError, match="reads no corpus"):
+        VerifySpec("1.6", 6, s2=4, delta=1, motif=Clique(2), corpus="graphs6.g6")
     with pytest.raises(ValueError):
         VerifySpec("1.1", 6, k=3)
     with pytest.raises(ValueError):
@@ -291,22 +288,15 @@ def test_nonexistence():
         verify_nonexistence(6, 4, 2)  # delta = s is attainable, not refutable
 
 
-def test_nonexistence_detects_counterexample(monkeypatch):
+def test_nonexistence_detects_counterexample(monkeypatch, tmp_path):
     # no real graph can qualify (that is the point of the scan), so fake the
-    # invariant arrays to confirm a hit is reported loudly, not swallowed
+    # filter to confirm a hit is reported loudly, not swallowed
     import fracmatch.verifier as V
 
-    k4_mask = from_graph6("F~~~w").edge_mask()  # K_7
-
-    def doctored(path, expect_n):
-        yield np.array([k4_mask], dtype=np.uint32), {
-            "nu2": np.array([4], dtype=np.uint8),
-            "mind": np.array([6], dtype=np.uint8),
-            "maxd": np.array([6], dtype=np.uint8),
-        }
-
-    monkeypatch.setattr(V, "load_stream", doctored)
-    r = verify_nonexistence(7, 4, 3, source="graph6-stream", corpus="unused")
+    path = tmp_path / "k7.g6"
+    path.write_text("F~~~w\n")  # K_7
+    monkeypatch.setattr(V, "_refutes", lambda s2, delta, masks, inv: inv["mind"] == 6)
+    r = verify_nonexistence(7, 4, 3, source="graph6-stream", corpus=str(path))
     assert r.verdict == "counterexample-found"
     assert r.counterexamples == ("F~~~w",)
     assert r.qualifying == 1
@@ -385,15 +375,8 @@ def test_spot_check_floor(n, source, corpus8, monkeypatch):
         return nu_star_deficiency(g)
 
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
-    clear_caches()
-    try:
-        if source == "native":
-            chunks = list(native_invariants(n, jobs=1))
-        else:
-            chunks = list(load_stream(corpus8, n))
-    finally:
-        clear_caches()
-    assert len(calls) >= min(sum(len(inv["nu2"]) for _, inv in chunks), 256)
+    scanned = V._fold_scan(n, source, None if source == "native" else corpus8, 1, [])
+    assert len(calls) >= min(scanned, 256)
 
 
 @pytest.mark.parametrize("source, corpus", [("bogus", None), ("graph6-stream", None)])
@@ -477,22 +460,25 @@ def test_spot_check_sample_spans_the_whole_scan(source, monkeypatch, corpus8):
     monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", 8)
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
     if source == "native":
-        chunks = native_invariants(6, jobs=1)
+        scanned = V._fold_scan(6, source, None, 1, [])
+        masks = list(range(scanned))
     else:
         text = io.StringIO(corpus8.read_text())  # read once, like a pipe
-        chunks = load_stream(text, 8)
-    masks = np.concatenate([masks for masks, _ in chunks])
-    assert len(masks) == (1 << 15 if source == "native" else 12346)
-    assert checked == masks[::16].tolist()
+        scanned = V._fold_scan(8, source, text, 1, [])
+        masks = [g.edge_mask() for _, g in read_graph6_stream(corpus8)]
+    assert scanned == len(masks) == (1 << 15 if source == "native" else 12346)
+    assert checked == masks[::16]
 
 
-def test_jobs_do_not_change_reports(monkeypatch):
+def test_jobs_do_not_change_reports(monkeypatch, corpus8):
     import fracmatch.verifier as V
 
-    monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks
+    monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks; corpus8: 13
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)),
              VerifySpec("1.9", 6, s2=4, delta=1, motif=Biclique(1, 2), delta_mode="at-least"),
-             VerifySpec("1.2", 6, s2=4, d=3), VerifySpec("1.1", 6, k=2)]
+             VerifySpec("1.2", 6, s2=4, d=3), VerifySpec("1.1", 6, k=2),
+             VerifySpec("1.6", 8, s2=6, delta=2, motif=Clique(3), source="graph6-stream",
+                        corpus=str(corpus8))]
 
     def run(jobs):
         reports = verify_specs(specs, jobs=jobs)
