@@ -4,8 +4,10 @@ Subcommands: construct, nu-star, matching, count, bound, family-max,
 convexity, verify, batch, gen-corpus.  Structured results go to stdout as
 JSON (counts as decimal strings); diagnostics go to stderr.  Exit codes:
 0 success/verified, 1 bound violated or counterexample found, 2 invalid
-arguments, 3 I/O or format error, 4 internal check failed (two independent
-routes disagreed, as in a spot check; a bug, not a verdict).
+arguments, 3 I/O or format error (including a batch config that is not
+UTF-8), 4 internal check failed (two independent routes disagreed, as in a
+spot check, a witness re-derivation or a parity check; a bug, not a
+verdict).  ``--jobs`` above the CPU count runs with the CPU count.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from pathlib import Path
 from .constructions import build_extremal, describe_extremal, family_max_count
 from .corpus import default_corpus_path, read_graph6_stream, write_corpus
 from .counting import count_motif, parse_motif
-from .formulas import ExtremalParams
+from .formulas import CONVEX_FAMILIES, DEFAULT_CONVEXITY_GRIDS, ExtremalParams, \
+    verify_convexity
 from .graphs import Graph6Error, to_graph6
 from .matching import fractional_certificate, matching_number, nu_star_fast
-from .verifier import DEFAULT_CONVEXITY_GRIDS, THEOREMS, VerifySpec, verify_bound, \
-    verify_convexity, verify_nonexistence, verify_specs
+from .verifier import THEOREMS, VerifySpec, verify_bound, verify_nonexistence, verify_specs
 
 
 def _emit(obj: dict) -> None:
@@ -218,12 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_params(p, t_flag=True):
+    def add_params(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--s2", type=int, required=True,
                        help="doubled fractional matching number 2s")
-        if t_flag:
-            p.add_argument("--t", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
         p.add_argument("--delta", type=int, required=True)
 
     p = sub.add_parser("construct", help="build the extremal graph G(n, s, t)")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family_max)
 
     p = sub.add_parser("convexity", help="second-difference sweep")
-    p.add_argument("--family", required=True, choices=["lemma23", "lemma24", "lemma27"])
+    p.add_argument("--family", required=True, choices=CONVEX_FAMILIES)
     p.add_argument("--s2-min", type=int)
     p.add_argument("--s2-max", type=int)
     p.set_defaults(func=cmd_convexity)
@@ -306,10 +307,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except Graph6Error as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
+    except (Graph6Error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

@@ -25,6 +25,8 @@ from .counting import Motif, count_motif
 from .formulas import ExtremalParams
 from .graphs import Graph, complete_graph, delete_edges, disjoint_union, empty_graph, join
 
+LITERAL_SUBSET_LIMIT = 1 << 16  # deletion subsets family_max_count_literal enumerates
+
 
 def _base_join(p: ExtremalParams) -> Graph:
     """K_t v (K_{2s-2t} + empty_{n+t-2s}) in canonical labeling."""
@@ -59,14 +61,26 @@ def describe_extremal(p: ExtremalParams) -> dict:
     }
 
 
+def _family_layout(family: str, p: ExtremalParams) -> tuple[int, tuple[int, int, int]]:
+    """The family's degree-delta vertex v, the lowest-indexed vertex of its
+    part, and how many neighbors v has in (dominating clique, middle clique,
+    independent part) of the base join: the caps of a retained split."""
+    if family == "F1":  # v in the middle clique, not adjacent to the independent part
+        if p.middle_size < 2:
+            raise ValueError("F1 needs a nonempty middle clique (t <= s - 1)")
+        return p.t, (p.t, p.middle_size - 1, 0)
+    if family == "F2":  # v in the dominating clique
+        return 0, (p.t - 1, p.middle_size, p.independent_size)
+    raise ValueError(f"unknown family {family!r}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One member of F1(t) or F2(t), identified by its retained split.
 
     ``retained_split`` lists how many neighbors the degree-delta vertex v
-    keeps in (dominating clique, middle clique, independent part).  For F1
-    the vertex v sits in the middle clique and has no independent-part
-    neighbors, so the last entry must be zero.
+    keeps in (dominating clique, middle clique, independent part), each at
+    most its cap in ``_family_layout``.
     """
 
     family: str  # "F1" | "F2"
@@ -74,29 +88,14 @@ class FamilySpec:
     retained_split: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        p = self.params
-        a, b, c = self.retained_split
-        if self.family not in ("F1", "F2"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if min(a, b, c) < 0:
-            raise ValueError("split entries must be nonnegative")
-        if a + b + c != p.delta:
-            raise ValueError(f"split {self.retained_split} must sum to delta = {p.delta}")
-        if self.family == "F1":
-            if p.middle_size < 2:
-                raise ValueError("F1 needs a nonempty middle clique (t <= s - 1)")
-            if c != 0:
-                raise ValueError("F1's vertex v has no independent-part neighbors")
-            if a > p.t or b > p.middle_size - 1:
-                raise ValueError(f"split {self.retained_split} exceeds part sizes")
-        else:
-            if a > p.t - 1 or b > p.middle_size or c > p.independent_size:
-                raise ValueError(f"split {self.retained_split} exceeds part sizes")
-
-
-def _family_vertex(spec: FamilySpec) -> int:
-    # v is the lowest-indexed vertex of its part
-    return spec.params.t if spec.family == "F1" else 0
+        _, caps = _family_layout(self.family, self.params)
+        if len(self.retained_split) != 3 or min(self.retained_split) < 0:
+            raise ValueError(f"split {self.retained_split} needs three nonnegative entries")
+        if sum(self.retained_split) != self.params.delta:
+            raise ValueError(f"split {self.retained_split} must sum to "
+                             f"delta = {self.params.delta}")
+        if any(keep > cap for keep, cap in zip(self.retained_split, caps)):
+            raise ValueError(f"split {self.retained_split} exceeds part sizes {caps}")
 
 
 def build_family_member(spec: FamilySpec) -> Graph:
@@ -107,8 +106,7 @@ def build_family_member(spec: FamilySpec) -> Graph:
     """
     p = spec.params
     base = _base_join(p)
-    v = _family_vertex(spec)
-    a, b, c = spec.retained_split
+    v, _ = _family_layout(spec.family, p)
     mid_lo, mid_hi = p.t, p.t + p.middle_size
     parts = [
         [w for w in range(0, p.t) if w != v],
@@ -116,7 +114,7 @@ def build_family_member(spec: FamilySpec) -> Graph:
         list(range(mid_hi, p.n)),
     ]
     removed = []
-    for keep, members in zip((a, b, c), parts):
+    for keep, members in zip(spec.retained_split, parts):
         neighbors = [w for w in members if base.has_edge(v, w)]
         drop = len(neighbors) - keep
         if drop < 0:
@@ -127,14 +125,7 @@ def build_family_member(spec: FamilySpec) -> Graph:
 
 def family_splits(family: str, p: ExtremalParams):
     """All valid retained splits for the family, lexicographic order."""
-    if family == "F1":
-        if p.middle_size < 2:
-            raise ValueError("F1 needs a nonempty middle clique (t <= s - 1)")
-        caps = (p.t, p.middle_size - 1, 0)
-    elif family == "F2":
-        caps = (p.t - 1, p.middle_size, p.independent_size)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    _, caps = _family_layout(family, p)
     for a in range(min(caps[0], p.delta) + 1):
         for b in range(min(caps[1], p.delta - a) + 1):
             c = p.delta - a - b
@@ -153,19 +144,16 @@ def family_max_count(family: str, p: ExtremalParams, motif: Motif) -> int:
     return best
 
 
-def family_max_count_literal(family: str, p: ExtremalParams, motif: Motif,
-                             subset_limit: int = 1 << 16) -> int:
+def family_max_count_literal(family: str, p: ExtremalParams, motif: Motif) -> int:
     """Maximum over literal deletion subsets E1/E2; cross-check for the
     split enumeration, feasible only at small sizes."""
+    v, _ = _family_layout(family, p)
     base = _base_join(p)
-    v = p.t if family == "F1" else 0
-    if family == "F1" and p.middle_size < 2:
-        raise ValueError("F1 needs a nonempty middle clique (t <= s - 1)")
     incident = [(v, w) for w in range(p.n) if base.has_edge(v, w)]
     drop = len(incident) - p.delta
     total = comb(len(incident), drop)
-    if total > subset_limit:
-        raise ValueError(f"{total} deletion subsets exceed limit {subset_limit}")
+    if total > LITERAL_SUBSET_LIMIT:
+        raise ValueError(f"{total} deletion subsets exceed limit {LITERAL_SUBSET_LIMIT}")
     best = -1
     for subset in itertools.combinations(incident, drop):
         member = delete_edges(base, list(subset))

@@ -108,7 +108,7 @@ def count_bicliques(g: Graph, r1: int, r2: int) -> int:
         total += comb(common.bit_count(), r2)
     if r1 == r2:
         if total % 2:
-            raise ArithmeticError("symmetric biclique total is odd; convention violated")
+            raise AssertionError("symmetric biclique total is odd; convention violated")
         total //= 2
     return total
 

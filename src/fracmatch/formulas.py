@@ -9,12 +9,14 @@ formula ever evaluates a binomial at a non-integer.
 copies in the extremal construction G(n, s, t) (see constructions module);
 ``bound_motif`` takes the maximum of those formulas over the constructions
 of ``extremal_candidates``: the two values of t that discrete convexity
-singles out, for each admissible minimum degree.
+singles out, for each admissible minimum degree.  ``verify_convexity``
+sweeps the second differences behind that convexity (the ``lemma23``,
+``lemma24`` and ``lemma27`` families of ``CONVEX_FAMILIES``) over a grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .counting import Biclique, Clique, Motif
@@ -91,7 +93,7 @@ def g_biclique(p: ExtremalParams, r1: int, r2: int) -> int:
         total += binom(p.delta, rj) * binom(p.n - rj - 1, r - rj - 1)
     q, rem = divmod(total, c)
     if rem:
-        raise ArithmeticError(f"odd symmetric total {total} for {p}, ({r1},{r2})")
+        raise AssertionError(f"odd symmetric total {total} for {p}, ({r1},{r2})")
     return q
 
 
@@ -243,7 +245,13 @@ def _sd27(n: int, s2: int, r1: int, r2: int, t: int) -> int:
     return h(t + 1) + h(t - 1) - 2 * h(t)
 
 
-CONVEX_FAMILIES = ("lemma23", "lemma24", "lemma27")
+# the default sweep grid of each family; its keys are the family names
+DEFAULT_CONVEXITY_GRIDS = {
+    "lemma23": {"s2": (4, 12), "ell": (2, 6)},
+    "lemma24": {"s2": (4, 12), "n_offset": (1, 6), "ell": (2, 5)},
+    "lemma27": {"s2": (4, 12), "n_offset": (1, 6), "r_total": 5},
+}
+CONVEX_FAMILIES = tuple(DEFAULT_CONVEXITY_GRIDS)
 
 
 def second_difference(family: str, t: int, *, s2: int, ell: int | None = None,
@@ -268,3 +276,66 @@ def second_difference(family: str, t: int, *, s2: int, ell: int | None = None,
             raise ValueError("lemma27 needs n, r1 and r2")
         return _sd27(n, s2, r1, r2, t)
     raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    family: str
+    points: int
+    min_value: int | None
+    argmin: dict = field(hash=False)
+    all_nonnegative: bool = True
+
+    def to_json_dict(self) -> dict:
+        return {
+            "family": self.family,
+            "points": self.points,
+            "min_second_difference": self.min_value,
+            "argmin": self.argmin,
+            "all_nonnegative": self.all_nonnegative,
+        }
+
+
+def _convexity_points(family: str, grid: dict):
+    s2_lo, s2_hi = grid["s2"]
+    if family == "lemma23":
+        for s2 in range(s2_lo, s2_hi + 1):
+            for ell in range(grid["ell"][0], grid["ell"][1] + 1):
+                for t in range(2, s2):
+                    yield {"s2": s2, "ell": ell, "t": t}
+    elif family == "lemma24":
+        off_lo, off_hi = grid["n_offset"]
+        for s2 in range(s2_lo, s2_hi + 1):
+            for n in range(s2 + off_lo, s2 + off_hi + 1):
+                for ell in range(grid["ell"][0], grid["ell"][1] + 1):
+                    for t in range(2, s2 + 1):
+                        yield {"n": n, "s2": s2, "ell": ell, "t": t}
+    elif family == "lemma27":
+        off_lo, off_hi = grid["n_offset"]
+        for s2 in range(s2_lo, s2_hi + 1):
+            for n in range(s2 + off_lo, s2 + off_hi + 1):
+                for r1 in range(1, grid["r_total"]):
+                    for r2 in range(r1, grid["r_total"] - r1 + 1):
+                        for t in range(2, s2 // 2):
+                            yield {"n": n, "s2": s2, "r1": r1, "r2": r2, "t": t}
+
+
+def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
+    """Sweep the centered second difference over the grid; all must be >= 0."""
+    if family not in CONVEX_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
+    grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
+    if grid["s2"][0] > grid["s2"][1]:
+        raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
+    points = 0
+    min_val: int | None = None
+    argmin: dict = {}
+    for pt in _convexity_points(family, grid):
+        t = pt.pop("t")
+        val = second_difference(family, t, **pt)
+        points += 1
+        if min_val is None or val < min_val:
+            min_val = val
+            argmin = dict(pt, t=t)
+    return ConvexityReport(family, points, min_val, argmin,
+                           all_nonnegative=(min_val is None or min_val >= 0))

@@ -13,12 +13,12 @@ Every chunk of either source takes one path: it gets its invariants
 vectorized numpy passes unless no spec reads them, and each spec of a
 group filters and counts it into a fold that keeps the maximum count, the
 number of passing graphs and the WITNESS_CAP smallest witnesses in graph6
-order.  With ``jobs > 1`` and more than one chunk, workers fold chunks and
-send back only the folds and a spot-check sample; theorem 1.1 scans read
-no invariants and run in the calling process.  No fold depends on the
-chunking, so a report is byte-identical for any worker count, and
-``verify_specs`` serves every spec sharing (n, source, corpus) from one
-pass.
+order.  With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers
+(never more than the CPU count) fold chunks and send back only the folds
+and a spot-check sample; theorem 1.1 scans read no invariants and run in
+the calling process.  No fold depends on the chunking, so a report is
+byte-identical for any worker count, and ``verify_specs`` serves every
+spec sharing (n, source, corpus) from one pass.
 
 The vectorized nu* is not the scalar algorithm: it evaluates the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
@@ -27,7 +27,10 @@ S of (n - |S| + |N(S)|), on byte-wide neighbour rows (see
 process: one mask in 4096, and at least 256 per scan (all of them in
 smaller scans), is re-checked through the scalar per-graph APIs
 (deficiency scan, double cover matching, degree stats), so a
-vectorization bug cannot slip through silently.
+vectorization bug cannot slip through silently.  Likewise each report's
+first witness is re-derived through the scalar APIs: it must pass the
+spec's filter (``matching_number`` for theorem 1.1) and hold exactly the
+observed maximum of motif copies (``count_motif``).
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ import numpy as np
 from . import formulas
 from .constructions import build_extremal
 from .corpus import read_graph6_stream
-from .counting import Biclique, Clique, Motif
+from .counting import Biclique, Clique, Motif, count_motif
 from .formulas import feasible_t_max
 from .graphs import Graph, are_isomorphic, degree_stats, graph6_mask, pair_index, to_graph6
-from .matching import nu_star_deficiency, nu_star_fast
+from .matching import matching_number, nu_star_deficiency, nu_star_fast
 
 THEOREMS = ("1.1", "1.2", "1.4", "1.6", "1.9")
 MAX_SCAN_VERTICES = 8  # masks are MASK_DTYPE (C(8, 2) = 28 bits), neighbour rows uint8
@@ -296,9 +299,10 @@ def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
 
 def _in_order(fn: Callable, tasks, jobs: int):
     """fn(task) for each task of an iterable, in task order.  With jobs > 1
-    and more than one task a pool of min(jobs, tasks) processes runs them,
-    submitted at most 2 * jobs ahead of the consumer, so the results held
-    at once stay bounded."""
+    and more than one task a pool of min(jobs, CPU count, tasks) processes
+    runs them, submitted at most 2 * jobs ahead of the consumer, so the
+    results held at once stay bounded."""
+    jobs = min(jobs, os.cpu_count() or 1)  # more workers than CPUs only add memory
     tasks = iter(tasks)
     first = list(itertools.islice(tasks, jobs))  # the pool starts all its workers at once
     if len(first) < 2:
@@ -552,6 +556,21 @@ def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
     return scanned
 
 
+def _check_witness(spec: VerifySpec, g: Graph, best: int) -> None:
+    """Re-derive one witness through the scalar per-graph APIs: it must pass
+    the spec's filter and hold exactly ``best`` copies of the motif."""
+    if spec.theorem == "1.1":
+        passes = matching_number(g) == spec.k
+    else:
+        lo, hi, _ = degree_stats(g)
+        # the filter's comparisons read scalar invariants as well as arrays
+        passes = bool(spec.select(None, {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}))
+    count = count_motif(g, spec.effective_motif())
+    if not passes or count != best:
+        raise AssertionError(f"witness {to_graph6(g)} re-derived: passes filter {passes}, "
+                             f"{count} copies, scan said {best}")
+
+
 def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
             seconds: float) -> VerificationReport:
     t0 = time.perf_counter()
@@ -560,6 +579,7 @@ def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
     if fold.best is None:
         verdict = "no-graphs"
     else:
+        _check_witness(spec, graphs[0], fold.best)
         verdict = "exact-match" if fold.best == bound else "bound-violated"
     matches = False
     if verdict == "exact-match":
@@ -655,76 +675,3 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
     elapsed = int((time.perf_counter() - t0) * 1000)
     return NonexistenceReport(n, s2, delta, scanned, fold.passed, examples,
                               verdict, elapsed)
-
-
-# ---------------------------------------------------------------------------
-# convexity sweeps
-
-DEFAULT_CONVEXITY_GRIDS = {
-    "lemma23": {"s2": (4, 12), "ell": (2, 6)},
-    "lemma24": {"s2": (4, 12), "n_offset": (1, 6), "ell": (2, 5)},
-    "lemma27": {"s2": (4, 12), "n_offset": (1, 6), "r_total": 5},
-}
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    family: str
-    points: int
-    min_value: int | None
-    argmin: dict = field(hash=False)
-    all_nonnegative: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "points": self.points,
-            "min_second_difference": self.min_value,
-            "argmin": self.argmin,
-            "all_nonnegative": self.all_nonnegative,
-        }
-
-
-def _convexity_points(family: str, grid: dict):
-    s2_lo, s2_hi = grid["s2"]
-    if family == "lemma23":
-        for s2 in range(s2_lo, s2_hi + 1):
-            for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                for t in range(2, s2):
-                    yield {"s2": s2, "ell": ell, "t": t}
-    elif family == "lemma24":
-        off_lo, off_hi = grid["n_offset"]
-        for s2 in range(s2_lo, s2_hi + 1):
-            for n in range(s2 + off_lo, s2 + off_hi + 1):
-                for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                    for t in range(2, s2 + 1):
-                        yield {"n": n, "s2": s2, "ell": ell, "t": t}
-    elif family == "lemma27":
-        off_lo, off_hi = grid["n_offset"]
-        for s2 in range(s2_lo, s2_hi + 1):
-            for n in range(s2 + off_lo, s2 + off_hi + 1):
-                for r1 in range(1, grid["r_total"]):
-                    for r2 in range(r1, grid["r_total"] - r1 + 1):
-                        for t in range(2, s2 // 2):
-                            yield {"n": n, "s2": s2, "r1": r1, "r2": r2, "t": t}
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
-    """Sweep the centered second difference over the grid; all must be >= 0."""
-    grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
-    if grid["s2"][0] > grid["s2"][1]:
-        raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
-    points = 0
-    min_val: int | None = None
-    argmin: dict = {}
-    for pt in _convexity_points(family, grid):
-        t = pt.pop("t")
-        val = formulas.second_difference(family, t, **pt)
-        points += 1
-        if min_val is None or val < min_val:
-            min_val = val
-            argmin = dict(pt, t=t)
-    return ConvexityReport(family, points, min_val, argmin,
-                           all_nonnegative=(min_val is None or min_val >= 0))

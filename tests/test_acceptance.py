@@ -23,12 +23,13 @@ from fracmatch.formulas import (
     bound_motif_scan,
     feasible_t_max,
     g_motif,
+    verify_convexity,
 )
 from fracmatch.graphs import Graph, all_labeled_graphs, from_graph6
 from fracmatch.matching import fractional_certificate, nu_star_deficiency, \
     nu_star_fast
-from fracmatch.verifier import VerifySpec, verify_bound, verify_convexity, \
-    verify_nonexistence, verify_specs
+from fracmatch.verifier import VerifySpec, verify_bound, verify_nonexistence, \
+    verify_specs
 
 CLIQUE_MOTIFS = [Clique(2), Clique(3), Clique(4)]
 BICLIQUE_MOTIFS = [Biclique(1, 1), Biclique(1, 2), Biclique(2, 2)]

@@ -343,6 +343,44 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("counting.comb", ["count", "--motif", "biclique:1,1"]),
+    ("formulas.binom", ["bound", "--theorem", "1.9", "--n", "7", "--s2", "4", "--delta", "1",
+                        "--motif", "biclique:2,2"]),
+])
+def test_parity_check_failure_exits_4(capsys, monkeypatch, tmp_path, target, argv):
+    # an odd symmetric biclique total is a bug, not bad arguments (exit 2)
+    import importlib
+
+    module, name = target.split(".")
+    monkeypatch.setattr(importlib.import_module(f"fracmatch.{module}"), name, lambda a, b: 1)
+    graph = tmp_path / "path.g6"
+    graph.write_text("Bw\n")
+    code, out, err = run(capsys, argv + (["--in", str(graph)] if argv[0] == "count" else []))
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "odd" in err
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("count_motif_vector", ["--theorem", "1.6", "--n", "5", "--s2", "4", "--delta", "1",
+                            "--motif", "clique:2"]),
+    ("matching_number_at_least", ["--theorem", "1.1", "--n", "6", "--k", "2"]),
+])
+def test_wrong_vector_witness_exits_4(capsys, monkeypatch, target, argv):
+    # a miscounted or misfiltered scan would report bound-violated (exit 1);
+    # re-deriving the first witness through the scalar APIs catches it
+    import fracmatch.verifier as V
+
+    vector = getattr(V, target)
+    if target == "count_motif_vector":
+        monkeypatch.setattr(V, target, lambda n, masks, motif: vector(n, masks, motif) + 1)
+    else:
+        monkeypatch.setattr(V, target, lambda n, masks, k: vector(n, masks, k - 1))
+    code, out, err = run(capsys, ["verify"] + argv + ["--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "witness" in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -414,6 +452,14 @@ def test_batch_bad_json_exits_3(capsys, tmp_path):
     config.write_text("[{,")
     code, _, err = run(capsys, ["batch", "--config", str(config)])
     assert code == 3 and "format error" in err
+
+
+def test_batch_config_not_utf8_exits_3(capsys, tmp_path):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'[{"theorem": "1.6", "motif": "clique:2\xff"}]')
+    code, out, err = run(capsys, ["batch", "--config", str(config)])
+    assert code == 3 and out == ""
+    assert "format error" in err and "Traceback" not in err
 
 
 def test_gen_corpus_small(capsys, tmp_path):

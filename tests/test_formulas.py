@@ -18,6 +18,7 @@ from fracmatch.formulas import (
     g_biclique,
     g_clique,
     second_difference,
+    verify_convexity,
 )
 
 
@@ -226,6 +227,11 @@ class TestSecondDifferences:
             second_difference("lemma25", 2, s2=8, ell=3)
         with pytest.raises(ValueError):
             second_difference("lemma24", 2, s2=6)  # missing n
+
+    def test_sweep_rejects_an_unknown_family(self):
+        for grid in (None, {"s2": (4, 5)}):
+            with pytest.raises(ValueError, match="unknown family"):
+                verify_convexity("lemma25", grid)
 
     def test_matches_direct_evaluation(self):
         for s2 in range(4, 11):

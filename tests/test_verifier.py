@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fracmatch.corpus import read_graph6_stream
 from fracmatch.counting import Biclique, Clique, count_motif
-from fracmatch.formulas import feasible_t_max
+from fracmatch.formulas import feasible_t_max, verify_convexity
 from fracmatch.graphs import Graph, all_labeled_graphs, degree_stats, from_graph6, to_graph6
 from fracmatch.matching import matching_number, nu_star_deficiency, nu_star_fast
 from fracmatch.verifier import (
@@ -22,7 +22,6 @@ from fracmatch.verifier import (
     matching_number_at_least,
     native_invariants,
     verify_bound,
-    verify_convexity,
     verify_nonexistence,
     verify_specs,
 )
@@ -474,6 +473,7 @@ def test_jobs_do_not_change_reports(monkeypatch, corpus8):
     import fracmatch.verifier as V
 
     monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks; corpus8: 13
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)  # a pool of 2 on any host
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)),
              VerifySpec("1.9", 6, s2=4, delta=1, motif=Biclique(1, 2), delta_mode="at-least"),
              VerifySpec("1.2", 6, s2=4, d=3), VerifySpec("1.1", 6, k=2),
@@ -513,6 +513,7 @@ def test_pool_keeps_at_most_two_tasks_per_worker_ahead(monkeypatch):
             pass
 
     monkeypatch.setattr(V, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 3)
     jobs = 3
     results = V._in_order(abs, list(range(-20, 0)), jobs)
     for consumed, value in enumerate(results):
@@ -520,6 +521,33 @@ def test_pool_keeps_at_most_two_tasks_per_worker_ahead(monkeypatch):
         assert len(submitted) - consumed <= 2 * jobs
     assert len(submitted) == 20
 
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    import fracmatch.verifier as V
+
+    pools = []
+
+    class RecordingPool:
+        """Records its size and runs each task when it is submitted."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(V, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    assert list(V._in_order(abs, range(-50, 0), 1000)) == list(range(50, 0, -1))
+    assert pools == [2]
 
 
 def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
@@ -550,6 +578,7 @@ def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
             pass
 
     monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)), VerifySpec("1.1", 6, k=2)]
 
     def run(jobs):
