@@ -201,15 +201,18 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
+_REVERSED_SEXTETS = tuple(format(val, "06b")[::-1] for val in range(64))
+
+
 def graph6_mask(text: str) -> tuple[int, int]:
     """Decode one graph6 line (surrounding whitespace tolerated) to
     (n, edge mask), the mask in ``pair_index`` bit order."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 line")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    if min(s) < "?" or max(s) > "~":  # graph6 bytes are 63..126
         raise Graph6Error(f"malformed header: byte outside graph6 alphabet in {s!r}")
+    data = [ord(c) - 63 for c in s]
     if data[0] < 63:
         n, body = data[0], data[1:]
     elif len(data) >= 2 and data[1] < 63:
@@ -225,11 +228,13 @@ def graph6_mask(text: str) -> tuple[int, int]:
     need = (m + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"malformed header: expected {need} payload bytes, got {len(body)}")
-    # graph6 bit p, read most significant first in each byte, is pair p
-    bits = "".join(format(val, "06b") for val in body)
-    if "1" in bits[m:]:
+    # graph6 bit p, read most significant first in each byte, is pair p, so
+    # the bytes in reverse order, each bit-reversed, read the mask in binary
+    # after 6 * need - m padding bits
+    bits = "".join([_REVERSED_SEXTETS[val] for val in reversed(body)])
+    if "1" in bits[:6 * need - m]:
         raise Graph6Error("trailing bits nonzero")
-    return n, int(bits[:m][::-1] or "0", 2)
+    return n, int(bits or "0", 2)
 
 
 def from_graph6(text: str) -> Graph:

@@ -10,15 +10,26 @@ the worker count is an argument of the scan, not of the spec.
 
 Every chunk of either source takes one path: it gets its invariants
 (doubled fractional matching number, minimum/maximum degree) from
-vectorized numpy passes unless no spec reads them, and each spec of a
-group filters and counts it into a fold that keeps the maximum count, the
-number of passing graphs and the WITNESS_CAP smallest witnesses in graph6
-order.  With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers
-(never more than the CPU count) fold chunks and send back only the folds
-and a spot-check sample; theorem 1.1 scans read no invariants and run in
-the calling process.  No fold depends on the chunking, so a report is
-byte-identical for any worker count, and ``verify_specs`` serves every
-spec sharing (n, source, corpus) from one pass.
+vectorized numpy passes unless no spec reads them.  The specs of a group
+are grouped by filter (``VerifySpec.filter_key``): each filter selects the
+chunk's passing masks once, and each of its specs counts motif copies in
+them into a fold that keeps the maximum count, the number of passing
+graphs and the WITNESS_CAP smallest witnesses in graph6 order.  So a chunk
+costs one selection per distinct filter, not per spec, and holds one
+filter's passing masks at a time.  With ``jobs > 1`` and more than one
+chunk, up to ``jobs`` workers (never more than the CPU count) fold chunks
+and send back only the folds and a spot-check sample; theorem 1.1 scans
+read no invariants and run in the calling process.  No fold depends on the
+chunking, so a report is byte-identical for any worker count, and
+``verify_specs`` serves every spec sharing (n, source, corpus) from one
+pass.
+
+Motif counts come without enumerating copies, except for cliques K_l with
+l >= 3 (see ``count_motif_vector``).  Edges are popcounts.  For K_{r1,r2},
+a copy is an r1-set A together with r2 common neighbours of A, which lie
+outside A because no vertex is its own neighbour; so the count is the sum
+over |A| = r1 of C(|N(A)|, r2), halved when r1 = r2 because each copy is
+then found once from each side.
 
 The vectorized nu* is not the scalar algorithm: it evaluates the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
@@ -27,10 +38,12 @@ S of (n - |S| + |N(S)|), on byte-wide neighbour rows (see
 process: one mask in 4096, and at least 256 per scan (all of them in
 smaller scans), is re-checked through the scalar per-graph APIs
 (deficiency scan, double cover matching, degree stats), so a
-vectorization bug cannot slip through silently.  Likewise each report's
-first witness is re-derived through the scalar APIs: it must pass the
-spec's filter (``matching_number`` for theorem 1.1) and hold exactly the
-observed maximum of motif copies (``count_motif``).
+vectorization bug cannot slip through silently; a report's
+``spot_checked`` says how many graphs its scan re-checked.  Likewise each
+report's first witness is re-derived through the scalar APIs: it must pass
+the spec's filter (``matching_number`` for theorem 1.1) and hold exactly
+the observed maximum of motif copies (``count_motif``), and a nonexistence
+scan's first counterexample must pass its filter.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +94,36 @@ def _subset_walk(n: int) -> list[tuple[int, int]]:
     return [(len(s), s[-1]) for s in subsets]
 
 
+def _neighbour_rows(n: int, masks: np.ndarray):
+    """An iterator of (lo, hi, rows), one per block of _BLOCK masks:
+    ``rows[v]`` holds the neighbour set of vertex v in each of masks[lo:hi]
+    as a uint8 bit set.  One (n, _BLOCK) buffer is reused block after
+    block.  Raises ValueError at once if n-vertex rows do not fit a byte."""
+    _check_source(n, "native", None)
+    total = len(masks)
+    size = min(total, _BLOCK)
+    rows = np.empty((n, size), dtype=np.uint8)
+    tmp = np.empty(size, dtype=np.uint8)
+    wide = np.empty(size, dtype=masks.dtype)
+
+    def blocks():
+        for lo in range(0, total, _BLOCK):
+            hi = min(lo + _BLOCK, total)
+            row, t, w = rows[:, :hi - lo], tmp[:hi - lo], wide[:hi - lo]
+            for j in range(n):
+                # vertex j's edges to i < j are the j bits from pair_index(0, j);
+                # bit i of that field is bit j of row i
+                np.right_shift(masks[lo:hi], j * (j - 1) // 2, out=w)
+                np.bitwise_and(w, (1 << j) - 1, out=row[j], casting="unsafe")
+                for i in range(j):
+                    np.bitwise_and(row[j], 1 << i, out=t)
+                    np.left_shift(t, j - i, out=t)
+                    np.bitwise_or(row[i], t, out=row[i])
+            yield lo, hi, row
+
+    return blocks()
+
+
 def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     """nu2 (doubled nu*), min degree and max degree for every edge mask.
 
@@ -92,31 +136,18 @@ def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     Each mask is unpacked into uint8 neighbour rows, and the subsets S are
     walked depth first so that N(S) = N(S - {v}) | row[v]: one OR, popcount,
     add and minimum per S, in blocks of _BLOCK masks."""
-    _check_source(n, "native", None)
+    blocks = _neighbour_rows(n, masks)
     total = len(masks)
     nu2 = np.empty(total, dtype=np.uint8)
     mind = np.empty(total, dtype=np.uint8)
     maxd = np.empty(total, dtype=np.uint8)
     size = min(total, _BLOCK)
     walk = _subset_walk(n)
-    rows = np.empty((n, size), dtype=np.uint8)
     nbrs = np.zeros((n + 1, size), dtype=np.uint8)  # N(S) at depth |S|; N({}) = 0
     tmp = np.empty(size, dtype=np.uint8)
-    wide = np.empty(size, dtype=masks.dtype)
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        k = hi - lo
-        row, nbr, t, w = rows[:, :k], nbrs[:, :k], tmp[:k], wide[:k]
+    for lo, hi, row in blocks:
+        nbr, t = nbrs[:, :hi - lo], tmp[:hi - lo]
         dmin, dmax, nu = mind[lo:hi], maxd[lo:hi], nu2[lo:hi]
-        for j in range(n):
-            # vertex j's edges to i < j are the j bits from pair_index(0, j);
-            # bit i of that field is bit j of row i
-            np.right_shift(masks[lo:hi], j * (j - 1) // 2, out=w)
-            np.bitwise_and(w, (1 << j) - 1, out=row[j], casting="unsafe")
-            for i in range(j):
-                np.bitwise_and(row[j], 1 << i, out=t)
-                np.left_shift(t, j - i, out=t)
-                np.bitwise_or(row[i], t, out=row[i])
         dmin.fill(255)
         dmax.fill(0)
         for v in range(n):
@@ -164,36 +195,57 @@ def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     return hit
 
 
-def motif_masks(n: int, motif: Motif) -> list[int]:
-    """Edge-bit masks whose containment marks one copy of the motif."""
+def clique_masks(n: int, ell: int) -> list[int]:
+    """Edge-bit masks of the K_ell copies in K_n: a graph holds a copy when
+    its mask contains the copy's."""
     out = []
-    if isinstance(motif, Clique):
-        for S in itertools.combinations(range(n), motif.ell):
-            m = 0
-            for u, v in itertools.combinations(S, 2):
-                m |= 1 << pair_index(u, v)
-            out.append(m)
-        return out
-    r1, r2 = motif.r1, motif.r2
-    for A in itertools.combinations(range(n), r1):
-        rest = [v for v in range(n) if v not in A]
-        for B in itertools.combinations(rest, r2):
-            if r1 == r2 and A > B:
-                continue  # unordered pair, count once
-            m = 0
-            for a in A:
-                for b in B:
-                    m |= 1 << pair_index(a, b)
-            out.append(m)
+    for S in itertools.combinations(range(n), ell):
+        m = 0
+        for u, v in itertools.combinations(S, 2):
+            m |= 1 << pair_index(u, v)
+        out.append(m)
     return out
 
 
 def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    for m in motif_masks(n, motif):
-        mm = masks.dtype.type(m)
-        counts += (masks & mm) == mm
-    return counts
+    """Motif copies in each edge mask, as the smallest unsigned dtype that
+    holds the copies in K_n, so no count can overflow.
+
+    Edges are popcounts; K_{r1,r2} sums C(|N(A)|, r2) over r1-sets A (see
+    the module docstring), N(A) being the AND of A's neighbour rows; larger
+    cliques are counted by containment of each copy's edge mask."""
+    if motif in (Clique(2), Biclique(1, 1)):
+        return np.bitwise_count(masks).astype(np.min_scalar_type(n * (n - 1) // 2), copy=False)
+    if isinstance(motif, Clique):
+        copies = clique_masks(n, motif.ell)
+        counts = np.zeros(masks.shape, dtype=np.min_scalar_type(len(copies)))
+        part, hit = np.empty_like(masks), np.empty(masks.shape, dtype=bool)
+        for m in copies:
+            mm = masks.dtype.type(m)
+            np.bitwise_and(masks, mm, out=part)
+            np.equal(part, mm, out=hit)
+            np.add(counts, hit, out=counts)
+        return counts
+    r1, r2 = motif.r1, motif.r2
+    ordered = comb(n, r1) * comb(n - r1, r2)  # (A, B) pairs in K_n
+    total = np.zeros(masks.shape, dtype=np.min_scalar_type(ordered))
+    table = np.array([comb(c, r2) for c in range(n + 1)], dtype=total.dtype)
+    common = np.empty(min(len(masks), _BLOCK), dtype=np.uint8)
+    term = np.empty(common.shape, dtype=total.dtype)
+    for lo, hi, row in _neighbour_rows(n, masks):
+        nbr, t, acc = common[:hi - lo], term[:hi - lo], total[lo:hi]
+        for A in itertools.combinations(range(n), r1):
+            first = row[A[0]]
+            for a in A[1:]:
+                np.bitwise_and(first, row[a], out=nbr)
+                first = nbr
+            np.bitwise_count(first, out=nbr)
+            np.take(table, nbr, out=t, mode="clip")  # |N(A)| <= n - r1: no clipping
+            np.add(acc, t, out=acc)
+    if r1 == r2:
+        total >>= 1
+        return total.astype(np.min_scalar_type(ordered // 2), copy=False)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +450,18 @@ class VerifySpec:
         return formulas.bound_motif(self.n, self.s2, self.delta, self.effective_motif(),
                                     self.delta_mode)
 
+    def filter_key(self) -> tuple:
+        """The comparisons ``select`` makes, besides n: specs of one order
+        with equal keys pass the same graphs, so a scan selects them once.
+        Theorems 1.6 and 1.9 filter alike, and 1.4 is at-least delta = 1."""
+        if self.theorem == "1.1":
+            return "k", self.k
+        if self.theorem == "1.2":
+            return "s2", self.s2, "d", self.d
+        if self.theorem == "1.4":
+            return "s2", self.s2, "at-least", 1
+        return "s2", self.s2, self.delta_mode, self.delta
+
     def select(self, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> np.ndarray:
         """Boolean array: which masks pass the theorem's filter.  Theorem
         1.1 reads the masks alone (``inv`` may be None), the rest read the
@@ -434,6 +498,7 @@ class VerificationReport:
     observed_max: int | None
     witnesses: tuple[str, ...]
     scanned: int
+    spot_checked: int  # graphs of the scan re-derived through the scalar APIs
     passed: int
     verdict: str  # "exact-match" | "bound-violated" | "no-graphs"
     witness_matches_construction: bool
@@ -446,6 +511,7 @@ class VerificationReport:
             "observed_max": None if self.observed_max is None else str(self.observed_max),
             "witnesses": list(self.witnesses),
             "scanned": self.scanned,
+            "spot_checked": self.spot_checked,
             "passed": self.passed,
             "verdict": self.verdict,
             "witness_matches_construction": self.witness_matches_construction,
@@ -478,24 +544,24 @@ def _winning_constructions(spec: VerifySpec, bound: int) -> list[Graph]:
 @dataclass
 class _Fold:
     """One spec's result over a scan, merged chunk by chunk: the number of
-    passing graphs, the maximum motif count, and the WITNESS_CAP smallest
-    graphs (graph6 order) attaining it.
+    graphs passing its filter, the maximum motif count, and the WITNESS_CAP
+    smallest graphs (graph6 order) attaining it.
 
-    ``select(masks, inv)`` is the filter.  With ``motif`` None every
-    passing graph counts 0, so the witnesses are the smallest passing
-    graphs.  No step depends on how the scan is cut into chunks."""
+    A fold sees only the graphs that passed its filter, selected once for
+    every fold of that filter.  With ``motif`` None every passing graph
+    counts 0, so the witnesses are the smallest passing graphs.  No step
+    depends on how the scan is cut into chunks."""
 
-    select: Callable
     motif: Motif | None
     passed: int = 0
     best: int | None = None
     smallest: list[tuple[int, int]] = field(default_factory=list)  # (sort key, mask)
     seconds: float = 0.0
 
-    def add(self, n: int, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> None:
+    def add(self, n: int, hit: np.ndarray) -> None:
+        """Fold in the next passing masks of the scan."""
         t0 = time.perf_counter()
-        hit = masks[self.select(masks, inv)]
-        part = _Fold(self.select, self.motif, passed=hit.size)
+        part = _Fold(self.motif, passed=hit.size)
         if hit.size:
             part.best = 0
             if self.motif is not None:
@@ -523,37 +589,58 @@ class _Fold:
         return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
 
 
-def _fold_chunk(task: tuple) -> tuple[int, list[_Fold], tuple | None]:
-    """One chunk of a scan folded into empty folds: the chunk's size, the
-    folds and its spot-check sample (None without invariants), all that a
-    worker sends back."""
-    n, chunk, start, total, folds, invariants = task
+# a filter and the folds of the specs it serves
+_Filter = tuple[Callable, list[_Fold]]
+
+
+def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple | None]:
+    """One chunk of a scan folded into empty folds: the chunk's size, each
+    filter's folds and the chunk's spot-check sample (None without
+    invariants), all that a worker sends back.  Each filter selects once,
+    and only its passing masks are held while its folds count them."""
+    n, chunk, start, total, filters, invariants = task
     masks = _as_masks(chunk)
     inv = mask_invariants(n, masks) if invariants else None
-    for fold in folds:
-        fold.add(n, masks, inv)
-    return len(masks), folds, None if inv is None else _spot_sample(masks, inv, start, total)
+    for select, folds in filters:
+        hit = masks[select(masks, inv)]
+        for fold in folds:
+            fold.add(n, hit)
+        del hit
+    sample = None if inv is None else _spot_sample(masks, inv, start, total)
+    return len(masks), [folds for _, folds in filters], sample
 
 
 def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
-               folds: list[_Fold], invariants: bool = True) -> int:
-    """Fold every chunk of one scan into every fold, in scan order, and
-    spot-check every chunk's sample here; returns the number of graphs
-    scanned.  With ``invariants`` false no invariants are computed, the
-    folds get None in their place and no worker starts."""
+               filters: list[_Filter], invariants: bool = True) -> tuple[int, int]:
+    """Fold every chunk of one scan into every filter's folds, in scan
+    order, and spot-check every chunk's sample here; returns the number of
+    graphs scanned and the number spot-checked.  With ``invariants`` false
+    no invariants are computed, the filters get None in their place, no
+    graph is spot-checked and no worker starts."""
     chunks = _native_chunks(n) if source == "native" else load_stream(corpus, n)
-    tasks = ((n, chunk, start, total, [_Fold(f.select, f.motif) for f in folds], invariants)
+    tasks = ((n, chunk, start, total,
+              [(select, [_Fold(f.motif) for f in folds]) for select, folds in filters],
+              invariants)
              for chunk, start, total in chunks)
     # workers compute invariants; a scan without them runs in this process
     workers = (jobs or os.cpu_count() or 1) if invariants else 1
-    scanned = 0
+    scanned = checked = 0
     for size, parts, sample in _in_order(_fold_chunk, tasks, workers):
         if sample is not None:
             _spot_check(n, *sample)
-        for fold, part in zip(folds, parts):
-            fold.merge(part)
+            checked += len(sample[0])
+        for (_, folds), part in zip(filters, parts):
+            for fold, later in zip(folds, part):
+                fold.merge(later)
         scanned += size
-    return scanned
+    return scanned, checked
+
+
+def _scalar_invariants(g: Graph) -> dict[str, int]:
+    """The invariants a filter reads, through the scalar per-graph APIs; a
+    filter's comparisons read them as well as arrays."""
+    lo, hi, _ = degree_stats(g)
+    return {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
 
 
 def _check_witness(spec: VerifySpec, g: Graph, best: int) -> None:
@@ -562,16 +649,14 @@ def _check_witness(spec: VerifySpec, g: Graph, best: int) -> None:
     if spec.theorem == "1.1":
         passes = matching_number(g) == spec.k
     else:
-        lo, hi, _ = degree_stats(g)
-        # the filter's comparisons read scalar invariants as well as arrays
-        passes = bool(spec.select(None, {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}))
+        passes = bool(spec.select(None, _scalar_invariants(g)))
     count = count_motif(g, spec.effective_motif())
     if not passes or count != best:
         raise AssertionError(f"witness {to_graph6(g)} re-derived: passes filter {passes}, "
                              f"{count} copies, scan said {best}")
 
 
-def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
+def _report(spec: VerifySpec, bound: int, fold: _Fold, scan: tuple[int, int],
             seconds: float) -> VerificationReport:
     t0 = time.perf_counter()
     graphs = fold.witnesses(spec.n)
@@ -586,7 +671,8 @@ def _report(spec: VerifySpec, bound: int, fold: _Fold, scanned: int,
         targets = _winning_constructions(spec, bound)
         matches = any(are_isomorphic(w, target) for w in graphs for target in targets)
     elapsed = int((seconds + fold.seconds + time.perf_counter() - t0) * 1000)
-    return VerificationReport(spec, bound, fold.best, witnesses, scanned, fold.passed,
+    scanned, checked = scan
+    return VerificationReport(spec, bound, fold.best, witnesses, scanned, checked, fold.passed,
                               verdict, matches, elapsed)
 
 
@@ -597,9 +683,11 @@ def verify_specs(specs: list[VerifySpec], jobs: int | None = None) -> list[Verif
 
     Specs sharing (n, source, corpus) are served by one scan, which computes
     invariants only if some spec of the group reads them (all but theorem
-    1.1 do); every spec's scan is checked before the first one starts.  A
-    report's elapsed_ms is its own filter, count and witness time; the first
-    report of a group also carries the shared scan time."""
+    1.1 do), and selects each chunk's passing graphs once for all specs of
+    one filter (``VerifySpec.filter_key``); every spec's scan is checked
+    before the first one starts.  A report's elapsed_ms is its own count
+    and witness time; the first report of a group also carries the shared
+    scan time, invariants and filters included."""
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         _check_source(spec.n, spec.source, spec.corpus)
@@ -609,13 +697,16 @@ def verify_specs(specs: list[VerifySpec], jobs: int | None = None) -> list[Verif
         t0 = time.perf_counter()
         group = [specs[i] for i in members]
         bounds = [spec.bound() for spec in group]
-        folds = [_Fold(spec.select, spec.effective_motif()) for spec in group]
-        scanned = _fold_scan(n, source, corpus, jobs, folds,
-                             invariants=any(spec.theorem != "1.1" for spec in group))
+        folds = [_Fold(spec.effective_motif()) for spec in group]
+        filters: dict[tuple, _Filter] = {}
+        for spec, fold in zip(group, folds):
+            filters.setdefault(spec.filter_key(), (spec.select, []))[1].append(fold)
+        scan = _fold_scan(n, source, corpus, jobs, list(filters.values()),
+                          invariants=any(spec.theorem != "1.1" for spec in group))
         # fold times add up across workers, so they may exceed the wall time
         shared = max(0.0, time.perf_counter() - t0 - sum(fold.seconds for fold in folds))
         for i, spec, bound, fold in zip(members, group, bounds, folds):
-            reports[i] = _report(spec, bound, fold, scanned, shared)
+            reports[i] = _report(spec, bound, fold, scan, shared)
             shared = 0.0
     return reports
 
@@ -635,6 +726,7 @@ class NonexistenceReport:
     s2: int
     delta: int
     scanned: int
+    spot_checked: int  # graphs of the scan re-derived through the scalar APIs
     qualifying: int
     counterexamples: tuple[str, ...]
     verdict: str  # "no-graphs" | "counterexample-found"
@@ -644,6 +736,7 @@ class NonexistenceReport:
         return {
             "spec": {"n": self.n, "s2": self.s2, "delta": self.delta},
             "scanned": self.scanned,
+            "spot_checked": self.spot_checked,
             "qualifying": self.qualifying,
             "counterexamples": list(self.counterexamples),
             "verdict": self.verdict,
@@ -668,10 +761,17 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
         raise ValueError(f"need n >= {s2 + 1}")
     _check_source(n, source, corpus)
     t0 = time.perf_counter()
-    fold = _Fold(partial(_refutes, s2, delta), None)
-    scanned = _fold_scan(n, source, corpus, jobs, [fold])
-    examples = tuple(to_graph6(g) for g in fold.witnesses(n))
+    fold = _Fold(None)
+    scanned, checked = _fold_scan(n, source, corpus, jobs, [(partial(_refutes, s2, delta), [fold])])
+    graphs = fold.witnesses(n)
+    if graphs:
+        # re-derive the first counterexample through the scalar APIs
+        inv = _scalar_invariants(graphs[0])
+        if not _refutes(s2, delta, None, inv):
+            raise AssertionError(f"counterexample {to_graph6(graphs[0])} re-derived: "
+                                 f"nu2 {inv['nu2']}, minimum degree {inv['mind']}")
+    examples = tuple(to_graph6(g) for g in graphs)
     verdict = "no-graphs" if fold.passed == 0 else "counterexample-found"
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return NonexistenceReport(n, s2, delta, scanned, fold.passed, examples,
+    return NonexistenceReport(n, s2, delta, scanned, checked, fold.passed, examples,
                               verdict, elapsed)

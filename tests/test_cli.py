@@ -343,6 +343,28 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_wrong_vector_counterexample_exits_4(capsys, monkeypatch):
+    # a doctored nu2 outside the spot-check sample would report a
+    # counterexample (exit 1); re-deriving it through the scalar APIs
+    # catches it
+    import fracmatch.verifier as V
+
+    k6 = (1 << 15) - 1  # nu2 6; the n = 6 sample is every 128th mask
+    vector = V.mask_invariants
+
+    def doctored(n, masks):
+        inv = vector(n, masks)
+        inv["nu2"][masks == k6] = 5
+        return inv
+
+    monkeypatch.setattr(V, "mask_invariants", doctored)
+    code, out, err = run(capsys, ["verify", "--nonexistence", "--n", "6", "--s2", "5",
+                                  "--delta", "2", "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "counterexample E~~w" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("target, argv", [
     ("counting.comb", ["count", "--motif", "biclique:1,1"]),
     ("formulas.binom", ["bound", "--theorem", "1.9", "--n", "7", "--s2", "4", "--delta", "1",

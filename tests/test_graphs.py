@@ -16,6 +16,7 @@ from fracmatch.graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    graph6_mask,
     join,
     path_graph,
     relabel,
@@ -23,6 +24,62 @@ from fracmatch.graphs import (
 )
 
 from conftest import random_graph
+
+
+def graph6_mask_by_strings(text: str) -> tuple[int, int]:
+    """A string-per-byte graph6 decoder, kept as the oracle of the
+    table-driven ``graph6_mask``: same validation order and messages."""
+    s = text.strip()
+    if not s:
+        raise Graph6Error("empty graph6 line")
+    data = [ord(c) - 63 for c in s]
+    if any(d < 0 or d > 63 for d in data):
+        raise Graph6Error(f"malformed header: byte outside graph6 alphabet in {s!r}")
+    if data[0] < 63:
+        n, body = data[0], data[1:]
+    elif len(data) >= 2 and data[1] < 63:
+        if len(data) < 4:
+            raise Graph6Error("malformed header: truncated extended vertex count")
+        n = data[1] << 12 | data[2] << 6 | data[3]
+        body = data[4:]
+    else:
+        raise Graph6Error("vertex count out of supported range (n > 258047 form)")
+    if not 1 <= n <= 64:
+        raise Graph6Error(f"vertex count {n} out of supported range 1..64")
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
+    if len(body) != need:
+        raise Graph6Error(f"malformed header: expected {need} payload bytes, got {len(body)}")
+    bits = "".join(format(val, "06b") for val in body)
+    if "1" in bits[m:]:
+        raise Graph6Error("trailing bits nonzero")
+    return n, int(bits[:m][::-1] or "0", 2)
+
+
+GRAPH6_BYTES = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@st.composite
+def graph6_lines(draw):
+    """Encodings of real graphs, some cut short, extended, or with the last
+    byte replaced (stray padding bits)."""
+    n = draw(st.integers(1, 64))
+    text = to_graph6(Graph.from_edge_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+    edit = draw(st.sampled_from(["none", "cut", "extend", "last byte"]))
+    if edit == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif edit == "extend":
+        text += draw(st.text(GRAPH6_BYTES, min_size=1, max_size=3))
+    elif edit == "last byte":
+        text = text[:-1] + draw(GRAPH6_BYTES)
+    return text
+
+
+def decoded_or_error(decode, text):
+    try:
+        return decode(text)
+    except Graph6Error as exc:
+        return str(exc)
 
 
 class TestGraphType:
@@ -104,6 +161,15 @@ class TestGraph6:
             from_graph6(header + body)
         except Graph6Error:
             pass
+
+    @given(st.one_of(
+        st.text(st.one_of(st.characters(min_codepoint=63, max_codepoint=126),
+                          st.characters(), st.integers(0xD800, 0xDFFF).map(chr))),
+        graph6_lines()))
+    @settings(max_examples=500, deadline=None)
+    def test_mask_decoder_matches_string_oracle(self, text):
+        assert decoded_or_error(graph6_mask, text) == \
+            decoded_or_error(graph6_mask_by_strings, text)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

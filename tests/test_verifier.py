@@ -93,17 +93,44 @@ def test_matching_number_vector(rng):
                 assert bool(flag) == (matching_number(Graph.from_edge_mask(n, int(mask))) >= k)
 
 
-def test_count_vector_agrees(rng):
-    from fracmatch.graphs import Graph
+def every_motif(n):
+    """K2..K_n and every K_{r1,r2} with r1 <= r2 and r1 + r2 <= n."""
+    return [Clique(ell) for ell in range(2, n + 1)] + \
+        [Biclique(r1, r2) for r1 in range(1, n) for r2 in range(r1, n - r1 + 1)]
 
-    n = 6
-    sample = rng.sample(range(1 << 15), 150)
+
+def assert_counts_match_scalar(n, sample):
+    for motif in every_motif(n):
+        expected = [count_motif(Graph.from_edge_mask(n, mask), motif) for mask in sample]
+        for dtype in (np.uint32, np.uint64):
+            counts = count_motif_vector(n, np.array(sample, dtype=dtype), motif)
+            assert counts.dtype.kind == "u", (n, motif)
+            assert counts.tolist() == expected, (n, motif, dtype)
+
+
+def test_count_vector_every_graph_n5():
+    assert_counts_match_scalar(5, list(range(1 << 10)))
+
+
+def test_count_vector_agrees():
+    for n in (6, 7, 8):
+        rnd = np.random.default_rng(n)
+        m = n * (n - 1) // 2
+        sample = [0, (1 << m) - 1] + rnd.integers(0, 1 << m, size=298).tolist()
+        assert_counts_match_scalar(n, sample)
+
+
+def test_count_vector_edge_cases():
     for dtype in (np.uint32, np.uint64):
-        masks = np.array(sample, dtype=dtype)
-        for motif in (Clique(2), Clique(3), Biclique(1, 2), Biclique(2, 2)):
-            counts = count_motif_vector(n, masks, motif)
-            for mask, c in zip(masks, counts):
-                assert int(c) == count_motif(Graph.from_edge_mask(n, int(mask)), motif)
+        for motif in every_motif(8):
+            assert count_motif_vector(8, np.zeros(0, dtype=dtype), motif).shape == (0,)
+        # K_{3,3} has no copy on 5 vertices, even in K5
+        counts = count_motif_vector(5, np.arange(1 << 10, dtype=dtype), Biclique(3, 3))
+        assert not counts.any()
+    # the most copies any 8-vertex graph holds (K8's) fit the count dtype
+    k8 = np.array([(1 << 28) - 1], dtype=np.uint32)
+    assert count_motif_vector(8, k8, Biclique(2, 2)).tolist() == [210]
+    assert count_motif_vector(8, k8, Biclique(3, 4)).dtype == np.uint16  # 280 copies
 
 
 ENGINE_SPECS = [
@@ -374,8 +401,9 @@ def test_spot_check_floor(n, source, corpus8, monkeypatch):
         return nu_star_deficiency(g)
 
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
-    scanned = V._fold_scan(n, source, None if source == "native" else corpus8, 1, [])
-    assert len(calls) >= min(scanned, 256)
+    scanned, spot_checked = V._fold_scan(n, source, None if source == "native" else corpus8,
+                                         1, [])
+    assert len(calls) == spot_checked >= min(scanned, 256)
 
 
 @pytest.mark.parametrize("source, corpus", [("bogus", None), ("graph6-stream", None)])
@@ -459,14 +487,15 @@ def test_spot_check_sample_spans_the_whole_scan(source, monkeypatch, corpus8):
     monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", 8)
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
     if source == "native":
-        scanned = V._fold_scan(6, source, None, 1, [])
+        scanned, spot_checked = V._fold_scan(6, source, None, 1, [])
         masks = list(range(scanned))
     else:
         text = io.StringIO(corpus8.read_text())  # read once, like a pipe
-        scanned = V._fold_scan(8, source, text, 1, [])
+        scanned, spot_checked = V._fold_scan(8, source, text, 1, [])
         masks = [g.edge_mask() for _, g in read_graph6_stream(corpus8)]
     assert scanned == len(masks) == (1 << 15 if source == "native" else 12346)
     assert checked == masks[::16]
+    assert spot_checked == len(checked)
 
 
 def test_jobs_do_not_change_reports(monkeypatch, corpus8):
@@ -550,35 +579,41 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     assert pools == [2]
 
 
+class PicklingPool:
+    """Runs each task when it is submitted, through pickle both ways like a
+    process pool, and records the size of each result in ``sizes``."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, task):
+        import pickle
+
+        result = pickle.dumps(fn(pickle.loads(pickle.dumps(task))))
+        self.sizes.append(len(result))
+        future = Future()
+        future.set_result(pickle.loads(result))
+        return future
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+# the invariants of one 2^12 chunk alone would take 3 * 4096 bytes
+RESULT_SIZE_BOUND = 4096
+
+
 def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
-    import pickle
-
     import fracmatch.verifier as V
-
-    sizes = []
-
-    class PicklingPool:
-        """Runs each task when it is submitted, through pickle both ways
-        like a process pool, and records the size of each result."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, fn, task):
-            result = pickle.dumps(fn(pickle.loads(pickle.dumps(task))))
-            sizes.append(len(result))
-            future = Future()
-            future.set_result(pickle.loads(result))
-            return future
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            pass
 
     monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(PicklingPool, "sizes", [])
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)), VerifySpec("1.1", 6, k=2)]
 
     def run(jobs):
@@ -589,8 +624,63 @@ def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
     serial = run(1)
     monkeypatch.setattr(V, "ProcessPoolExecutor", PicklingPool)
     assert run(2) == serial
-    # the invariants of one chunk alone would take 3 * 4096 bytes
-    assert len(sizes) == 16 and max(sizes) < 4096
+    sizes = PicklingPool.sizes
+    assert len(sizes) == 16 and max(sizes) < RESULT_SIZE_BOUND
+
+
+ACCEPTANCE_MOTIFS = [Clique(2), Clique(3), Clique(4),
+                     Biclique(1, 1), Biclique(1, 2), Biclique(2, 2)]
+
+
+def test_one_filter_serves_every_motif(monkeypatch):
+    # twelve specs on two filters: every motif shares one selection per
+    # chunk, in the workers, and reports as if it had been scanned alone
+    import fracmatch.verifier as V
+
+    specs = [VerifySpec("1.6" if isinstance(motif, Clique) else "1.9", 6, s2=4, delta=1,
+                        motif=motif, delta_mode=mode)
+             for mode in ("exact", "at-least") for motif in ACCEPTANCE_MOTIFS]
+    assert len({spec.filter_key() for spec in specs}) == 2
+    monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
+    single = [report_fields(verify_bound(spec, jobs=1)) for spec in specs]
+    selections = []
+    select = VerifySpec.select
+    with monkeypatch.context() as patch:
+        patch.setattr(VerifySpec, "select",
+                      lambda spec, masks, inv: selections.append(masks) or select(spec, masks, inv))
+        assert [report_fields(r) for r in verify_specs(specs, jobs=1)] == single
+    # once per filter and chunk, and once per report for its first witness
+    assert sum(masks is not None for masks in selections) == 2 * 8
+    tasks = []
+
+    class RecordingPool(PicklingPool):
+        def submit(self, fn, task):
+            tasks.append(task)
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(V, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(PicklingPool, "sizes", [])
+    grouped = [report_fields(r) for r in verify_specs(specs, jobs=2)]
+    assert grouped == single
+    # each chunk goes out with two filters of six folds each
+    n, chunk, start, total, filters, invariants = tasks[0]
+    assert [len(folds) for _, folds in filters] == [6, 6]
+    sizes = PicklingPool.sizes
+    assert len(tasks) == len(sizes) == 8 and max(sizes) < RESULT_SIZE_BOUND
+
+
+def test_spot_checked_counts_the_scan():
+    spec6 = VerifySpec("1.6", 6, s2=4, delta=1, motif=Clique(3))
+    assert verify_bound(spec6, jobs=1).to_json_dict()["spot_checked"] == 256
+    assert verify_nonexistence(6, 5, 2, jobs=1).to_json_dict()["spot_checked"] == 256
+    spec7 = VerifySpec("1.9", 7, s2=4, delta=1, motif=Biclique(1, 2))
+    assert verify_bound(spec7, jobs=1).spot_checked == 512
+    # theorem 1.1 reads no invariants, so there is nothing to spot-check
+    only_matching = verify_specs([VerifySpec("1.1", 6, k=1), VerifySpec("1.1", 6, k=2)])
+    assert [r.spot_checked for r in only_matching] == [0, 0]
+
+
 
 def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
     from fracmatch.corpus import write_corpus
@@ -616,4 +706,13 @@ def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
         VerifySpec("1.4", 6, s2=5),
     ]
     grouped = [report_fields(r) for r in verify_specs(specs)]
-    assert grouped == [report_fields(verify_bound(spec)) for spec in specs]
+    single = [report_fields(verify_bound(spec)) for spec in specs]
+    # a group's reports share one scan and so its spot-check count, which a
+    # theorem 1.1 spec alone (a scan without invariants) does not have
+    scan_checks = {}
+    for spec, one in zip(specs, single):
+        key = (spec.n, spec.source, spec.corpus)
+        scan_checks[key] = max(scan_checks.get(key, 0), one.pop("spot_checked"))
+    for spec, many in zip(specs, grouped):
+        assert many.pop("spot_checked") == scan_checks[(spec.n, spec.source, spec.corpus)]
+    assert grouped == single
