@@ -148,8 +148,8 @@ def _spec_entry(args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.nonexistence:
-        unread = [key for key in ("theorem", "motif", "k", "d", "delta_mode")
-                  if getattr(args, key) is not None]
+        unread = [key for key in SPEC_KEYS if key not in ("n", "s2", "delta", "source", "corpus")
+                  and getattr(args, key) is not None]
         if unread:
             flags = ", ".join("--" + key.replace("_", "-") for key in unread)
             raise ValueError(f"--nonexistence does not take {flags}")

@@ -149,14 +149,15 @@ def bound_edges_matching(n: int, k: int) -> int:
 
 
 def bound_edges_max_degree(n: int, s2: int, d: int) -> int:
-    """Maximum size with nu* = s2/2 and maximum degree at most d.
+    """Maximum size with nu* = s2/2 and maximum degree at most d, for
+    1 <= d <= n - 1: a larger cap constrains nothing, but the formula grows.
 
     The two overlapping branch conditions (d = 2s - 1, and for odd s2 the
     n = d + s - 3/2 boundary) are evaluated on both sides and must agree;
     disagreement would mean the branch arithmetic is wrong.
     """
-    if d < 1:
-        raise ValueError("maximum degree bound must be >= 1")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"maximum degree bound d = {d} outside 1..n - 1 = {n - 1}")
     if s2 < 1 or n <= s2:
         raise ValueError(f"(n, s2) = ({n}, {s2}) outside n > 2s >= 1")
     if s2 % 2 == 0:

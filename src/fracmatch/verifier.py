@@ -10,19 +10,20 @@ the worker count is an argument of the scan, not of the spec.
 
 Every chunk of either source takes one path: it gets its invariants
 (doubled fractional matching number, minimum/maximum degree) from
-vectorized numpy passes unless no spec reads them.  The specs of a group
-are grouped by filter (``VerifySpec.filter_key``): each filter selects the
-chunk's passing masks once, and each of its specs counts motif copies in
-them into a fold that keeps the maximum count, the number of passing
-graphs and the WITNESS_CAP smallest witnesses in graph6 order.  So a chunk
-costs one selection per distinct filter, not per spec, and holds one
-filter's passing masks at a time.  With ``jobs > 1`` and more than one
-chunk, up to ``jobs`` workers (never more than the CPU count) fold chunks
-and send back only the folds and a spot-check sample; theorem 1.1 scans
-read no invariants and run in the calling process.  No fold depends on the
-chunking, so a report is byte-identical for any worker count, and
-``verify_specs`` serves every spec sharing (n, source, corpus) from one
-pass.
+vectorized numpy passes unless no filter reads them.  A filter is a key,
+``VerifySpec.filter_key``: ("k", k), ("s2", s2, "d", d) or ("s2", s2,
+mode, delta), which ``_select`` applies to a chunk's arrays or to one
+graph's scalar invariants.  Each distinct key of a group selects a chunk's
+passing masks once, and each spec of that key counts motif copies in them
+into a fold that keeps the maximum count, the number of passing graphs and
+the WITNESS_CAP smallest witnesses in graph6 order; a nonexistence scan is
+the at-least key with no motif, so its witnesses are counterexamples.
+With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers (never
+more than the CPU count) fold chunks and send back only the folds and a
+spot-check sample; scans of matching keys alone read no invariants and run
+in the calling process.  No fold depends on the chunking, so a report is
+byte-identical for any worker count, and ``verify_specs`` serves every spec
+sharing (n, source, corpus) from one pass.
 
 Motif counts come without enumerating copies, except for cliques K_l with
 l >= 3 (see ``count_motif_vector``).  Edges are popcounts.  For K_{r1,r2},
@@ -39,11 +40,11 @@ process: one mask in 4096, and at least 256 per scan (all of them in
 smaller scans), is re-checked through the scalar per-graph APIs
 (deficiency scan, double cover matching, degree stats), so a
 vectorization bug cannot slip through silently; a report's
-``spot_checked`` says how many graphs its scan re-checked.  Likewise each
-report's first witness is re-derived through the scalar APIs: it must pass
-the spec's filter (``matching_number`` for theorem 1.1) and hold exactly
-the observed maximum of motif copies (``count_motif``), and a nonexistence
-scan's first counterexample must pass its filter.
+``spot_checked`` says how many graphs its scan re-checked.  Likewise the
+first witness of each report, and a nonexistence scan's first
+counterexample, is re-derived through the scalar APIs (``matching_number``
+for the matching filter): it must pass its key's filter and hold exactly
+the observed maximum of motif copies (``count_motif``), or none.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -379,7 +379,7 @@ def _in_order(fn: Callable, tasks, jobs: int):
 # verification specs and reports
 
 # the parameters each theorem reads; every other one must keep its default,
-# or hold the value the theorem fixes itself
+# or hold the value the theorem fixes itself, which the spec then stores
 _READS = {
     "1.1": ("k",),
     "1.2": ("s2", "d"),
@@ -421,6 +421,8 @@ class VerifySpec:
                     and value not in (param.default, fixed.get(param.name)):
                 raise ValueError(f"theorem {self.theorem} does not take {param.name} "
                                  f"(got {value})")
+        for name, value in fixed.items():
+            object.__setattr__(self, name, value)
         missing = [key for key in reads if getattr(self, key) is None]
         if missing:
             raise ValueError(f"theorem {self.theorem} needs {', '.join(missing)}")
@@ -430,9 +432,6 @@ class VerifySpec:
             raise ValueError("theorem 1.9 takes a biclique motif")
         self.bound()  # raises ValueError outside the theorem's hypotheses
 
-    def effective_motif(self) -> Motif:
-        return self.motif if self.motif is not None else Clique(2)
-
     def bound(self) -> int:
         if self.theorem == "1.1":
             return formulas.bound_edges_matching(self.n, self.k)
@@ -440,45 +439,27 @@ class VerifySpec:
             return formulas.bound_edges_max_degree(self.n, self.s2, self.d)
         if self.theorem == "1.4":
             val = formulas.bound_edges_min_degree_one(self.n, self.s2)
-            reduced = formulas.bound_motif(self.n, self.s2, 1, Clique(2), "at-least")
+            reduced = formulas.bound_motif(self.n, self.s2, self.delta, self.motif, "at-least")
             if val != reduced:
                 raise AssertionError(
                     f"minimum-degree-one bound {val} disagrees with "
                     f"at-least reduction {reduced} at (n={self.n}, s2={self.s2})"
                 )
             return val
-        return formulas.bound_motif(self.n, self.s2, self.delta, self.effective_motif(),
-                                    self.delta_mode)
+        return formulas.bound_motif(self.n, self.s2, self.delta, self.motif, self.delta_mode)
 
     def filter_key(self) -> tuple:
-        """The comparisons ``select`` makes, besides n: specs of one order
-        with equal keys pass the same graphs, so a scan selects them once.
-        Theorems 1.6 and 1.9 filter alike, and 1.4 is at-least delta = 1."""
+        """The filter the theorem scans, as ``_select`` reads it: specs of
+        one order with equal keys pass the same graphs, so a scan selects
+        them once.  Theorems 1.6 and 1.9 filter alike, and 1.4 is at-least
+        delta = 1."""
         if self.theorem == "1.1":
             return "k", self.k
         if self.theorem == "1.2":
             return "s2", self.s2, "d", self.d
         if self.theorem == "1.4":
-            return "s2", self.s2, "at-least", 1
+            return "s2", self.s2, "at-least", self.delta
         return "s2", self.s2, self.delta_mode, self.delta
-
-    def select(self, masks: np.ndarray, inv: dict[str, np.ndarray] | None) -> np.ndarray:
-        """Boolean array: which masks pass the theorem's filter.  Theorem
-        1.1 reads the masks alone (``inv`` may be None), the rest read the
-        invariants alone."""
-        if self.theorem == "1.1":
-            n, k = self.n, self.k
-            return matching_number_at_least(n, masks, k) & ~matching_number_at_least(n, masks, k + 1)
-        sel = inv["nu2"] == self.s2
-        if self.theorem == "1.2":
-            sel &= inv["maxd"] <= self.d
-        elif self.theorem == "1.4":
-            sel &= inv["mind"] >= 1
-        elif self.delta_mode == "exact":
-            sel &= inv["mind"] == self.delta
-        else:
-            sel &= inv["mind"] >= self.delta
-        return sel
 
     def to_json_dict(self) -> dict:
         out: dict = {"theorem": self.theorem, "n": self.n}
@@ -519,26 +500,49 @@ class VerificationReport:
         }
 
 
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
 def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
-    """Bit-reversed masks; ascending order equals graph6 string order."""
-    m = n * (n - 1) // 2
-    rev = np.zeros_like(masks)
-    word = masks.dtype.type
-    for p in range(m):
-        rev |= ((masks >> word(p)) & word(1)) << word(m - 1 - p)
+    """Bit-reversed masks; ascending order equals graph6 string order.
+
+    Reversing each byte by table and then the bytes of each word reverses
+    the word; one shift drops the bits above the C(n, 2) edge bits."""
+    words = np.ascontiguousarray(masks)
+    rev = _REVERSED_BYTES[words.view(np.uint8)].view(words.dtype).byteswap(inplace=True)
+    rev >>= words.dtype.type(8 * words.itemsize - n * (n - 1) // 2)
     return rev
 
 
-def _winning_constructions(spec: VerifySpec, bound: int) -> list[Graph]:
-    """Extremal constructions whose formula value attains the bound."""
-    if spec.theorem in ("1.1", "1.2"):
+def _winning_constructions(key: tuple, n: int, motif: Motif, bound: int) -> list[Graph]:
+    """Extremal constructions of filter ``key`` whose formula value attains
+    the bound; the matching and maximum-degree filters have none."""
+    if key[0] == "k" or key[2] == "d":
         return []
-    # theorem 1.4 is the edge bound under minimum degree at least one
-    delta, mode = (1, "at-least") if spec.theorem == "1.4" else (spec.delta, spec.delta_mode)
-    motif = spec.effective_motif()
-    return [build_extremal(p)
-            for p in formulas.extremal_candidates(spec.n, spec.s2, delta, mode)
+    _, s2, mode, delta = key
+    return [build_extremal(p) for p in formulas.extremal_candidates(n, s2, delta, mode)
             if formulas.g_motif(p, motif) == bound]
+
+
+def _select(key: tuple, n: int, masks: np.ndarray | None, inv: dict) -> np.ndarray | bool:
+    """Which graphs pass filter ``key`` (see ``VerifySpec.filter_key``): a
+    boolean array for a chunk's masks and invariant arrays, or a bool for one
+    graph's scalar invariants, with ``masks`` None and, for the matching
+    filter, the graph's matching number as ``inv["nu"]``."""
+    if key[0] == "k":
+        k = key[1]
+        if masks is None:
+            return inv["nu"] == k
+        return matching_number_at_least(n, masks, k) & ~matching_number_at_least(n, masks, k + 1)
+    _, s2, mode, bound = key
+    sel = inv["nu2"] == s2
+    if mode == "d":
+        sel &= inv["maxd"] <= bound
+    elif mode == "exact":
+        sel &= inv["mind"] == bound
+    else:
+        sel &= inv["mind"] >= bound
+    return sel
 
 
 @dataclass
@@ -589,10 +593,6 @@ class _Fold:
         return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
 
 
-# a filter and the folds of the specs it serves
-_Filter = tuple[Callable, list[_Fold]]
-
-
 def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple | None]:
     """One chunk of a scan folded into empty folds: the chunk's size, each
     filter's folds and the chunk's spot-check sample (None without
@@ -601,25 +601,26 @@ def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple | None]:
     n, chunk, start, total, filters, invariants = task
     masks = _as_masks(chunk)
     inv = mask_invariants(n, masks) if invariants else None
-    for select, folds in filters:
-        hit = masks[select(masks, inv)]
+    for key, folds in filters.items():
+        hit = masks[_select(key, n, masks, inv)]
         for fold in folds:
             fold.add(n, hit)
         del hit
     sample = None if inv is None else _spot_sample(masks, inv, start, total)
-    return len(masks), [folds for _, folds in filters], sample
+    return len(masks), list(filters.values()), sample
 
 
 def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
-               filters: list[_Filter], invariants: bool = True) -> tuple[int, int]:
-    """Fold every chunk of one scan into every filter's folds, in scan
-    order, and spot-check every chunk's sample here; returns the number of
-    graphs scanned and the number spot-checked.  With ``invariants`` false
-    no invariants are computed, the filters get None in their place, no
-    graph is spot-checked and no worker starts."""
+               filters: dict[tuple, list[_Fold]]) -> tuple[int, int]:
+    """Fold every chunk of one scan into the folds of every filter key, in
+    scan order, and spot-check every chunk's sample here; returns the number
+    of graphs scanned and the number spot-checked.  Invariants are computed
+    only if some filter reads them (all but the matching filter do); without
+    them no graph is spot-checked and no worker starts."""
     chunks = _native_chunks(n) if source == "native" else load_stream(corpus, n)
+    invariants = any(key[0] != "k" for key in filters)
     tasks = ((n, chunk, start, total,
-              [(select, [_Fold(f.motif) for f in folds]) for select, folds in filters],
+              {key: [_Fold(f.motif) for f in folds] for key, folds in filters.items()},
               invariants)
              for chunk, start, total in chunks)
     # workers compute invariants; a scan without them runs in this process
@@ -629,46 +630,42 @@ def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
         if sample is not None:
             _spot_check(n, *sample)
             checked += len(sample[0])
-        for (_, folds), part in zip(filters, parts):
+        for folds, part in zip(filters.values(), parts):
             for fold, later in zip(folds, part):
                 fold.merge(later)
         scanned += size
     return scanned, checked
 
 
-def _scalar_invariants(g: Graph) -> dict[str, int]:
-    """The invariants a filter reads, through the scalar per-graph APIs; a
-    filter's comparisons read them as well as arrays."""
-    lo, hi, _ = degree_stats(g)
-    return {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
-
-
-def _check_witness(spec: VerifySpec, g: Graph, best: int) -> None:
+def _check_witness(key: tuple, motif: Motif | None, g: Graph, best: int) -> None:
     """Re-derive one witness through the scalar per-graph APIs: it must pass
-    the spec's filter and hold exactly ``best`` copies of the motif."""
-    if spec.theorem == "1.1":
-        passes = matching_number(g) == spec.k
+    filter ``key`` and hold exactly ``best`` copies of ``motif``, or of none
+    with ``motif`` None, as a nonexistence scan's counterexample does."""
+    if key[0] == "k":
+        inv = {"nu": matching_number(g)}
     else:
-        passes = bool(spec.select(None, _scalar_invariants(g)))
-    count = count_motif(g, spec.effective_motif())
+        lo, hi, _ = degree_stats(g)
+        inv = {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
+    passes = bool(_select(key, g.n, None, inv))
+    count = 0 if motif is None else count_motif(g, motif)
     if not passes or count != best:
-        raise AssertionError(f"witness {to_graph6(g)} re-derived: passes filter {passes}, "
-                             f"{count} copies, scan said {best}")
+        raise AssertionError(f"witness or counterexample {to_graph6(g)} re-derived: passes "
+                             f"filter {passes}, {count} copies, scan said {best}")
 
 
 def _report(spec: VerifySpec, bound: int, fold: _Fold, scan: tuple[int, int],
             seconds: float) -> VerificationReport:
     t0 = time.perf_counter()
-    graphs = fold.witnesses(spec.n)
+    key, graphs = spec.filter_key(), fold.witnesses(spec.n)
     witnesses = tuple(to_graph6(g) for g in graphs)
     if fold.best is None:
         verdict = "no-graphs"
     else:
-        _check_witness(spec, graphs[0], fold.best)
+        _check_witness(key, spec.motif, graphs[0], fold.best)
         verdict = "exact-match" if fold.best == bound else "bound-violated"
     matches = False
     if verdict == "exact-match":
-        targets = _winning_constructions(spec, bound)
+        targets = _winning_constructions(key, spec.n, spec.motif, bound)
         matches = any(are_isomorphic(w, target) for w in graphs for target in targets)
     elapsed = int((seconds + fold.seconds + time.perf_counter() - t0) * 1000)
     scanned, checked = scan
@@ -697,12 +694,11 @@ def verify_specs(specs: list[VerifySpec], jobs: int | None = None) -> list[Verif
         t0 = time.perf_counter()
         group = [specs[i] for i in members]
         bounds = [spec.bound() for spec in group]
-        folds = [_Fold(spec.effective_motif()) for spec in group]
-        filters: dict[tuple, _Filter] = {}
+        folds = [_Fold(spec.motif) for spec in group]
+        filters: dict[tuple, list[_Fold]] = {}
         for spec, fold in zip(group, folds):
-            filters.setdefault(spec.filter_key(), (spec.select, []))[1].append(fold)
-        scan = _fold_scan(n, source, corpus, jobs, list(filters.values()),
-                          invariants=any(spec.theorem != "1.1" for spec in group))
+            filters.setdefault(spec.filter_key(), []).append(fold)
+        scan = _fold_scan(n, source, corpus, jobs, filters)
         # fold times add up across workers, so they may exceed the wall time
         shared = max(0.0, time.perf_counter() - t0 - sum(fold.seconds for fold in folds))
         for i, spec, bound, fold in zip(members, group, bounds, folds):
@@ -744,32 +740,25 @@ class NonexistenceReport:
         }
 
 
-def _refutes(s2: int, delta: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> np.ndarray:
-    """Boolean array: nu* = s2/2 and minimum degree at least delta."""
-    return (inv["nu2"] == s2) & (inv["mind"] >= delta)
-
-
 def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
                         corpus: str | Path | None = None,
                         jobs: int | None = None) -> NonexistenceReport:
     """Certify that no n-vertex graph has nu* = s2/2 and minimum degree
-    >= delta, for delta beyond the feasible cap of the parity of s2."""
+    >= delta, for delta beyond the feasible cap of the parity of s2: a scan
+    of the at-least filter with no motif, whose witnesses are the smallest
+    counterexamples."""
+    if s2 < 4 or n < s2 + 1:
+        raise ValueError(f"(n, s2) = ({n}, {s2}) outside n >= 2s + 1 >= 5")
     cap = feasible_t_max(s2)
     if delta <= cap:
         raise ValueError(f"delta = {delta} is feasible (cap {cap}); nothing to refute")
-    if n < s2 + 1:
-        raise ValueError(f"need n >= {s2 + 1}")
     _check_source(n, source, corpus)
     t0 = time.perf_counter()
-    fold = _Fold(None)
-    scanned, checked = _fold_scan(n, source, corpus, jobs, [(partial(_refutes, s2, delta), [fold])])
+    key, fold = ("s2", s2, "at-least", delta), _Fold(None)
+    scanned, checked = _fold_scan(n, source, corpus, jobs, {key: [fold]})
     graphs = fold.witnesses(n)
     if graphs:
-        # re-derive the first counterexample through the scalar APIs
-        inv = _scalar_invariants(graphs[0])
-        if not _refutes(s2, delta, None, inv):
-            raise AssertionError(f"counterexample {to_graph6(graphs[0])} re-derived: "
-                                 f"nu2 {inv['nu2']}, minimum degree {inv['mind']}")
+        _check_witness(key, None, graphs[0], 0)
     examples = tuple(to_graph6(g) for g in graphs)
     verdict = "no-graphs" if fold.passed == 0 else "counterexample-found"
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -305,6 +305,24 @@ def test_verify_stops_at_the_scan_limit(capsys, tmp_path, source, question):
     assert "n <= 8" in err and "uint32" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "1.2", "--n", "6", "--s2", "4", "--d", "7"],
+    ["bound", "--theorem", "1.2", "--n", "6", "--s2", "4", "--d", "6"],
+    ["verify", "--nonexistence", "--n", "6", "--s2", "-1", "--delta", "0"],
+    ["verify", "--nonexistence", "--n", "6", "--s2", "3", "--delta", "1"],
+])
+def test_questions_outside_the_hypotheses_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out and "outside" in err
+
+
+def test_batch_rejects_a_degree_cap_beyond_n(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"theorem": "1.2", "n": 6, "s2": 4, "d": 7}]))
+    code, out, err = run(capsys, ["batch", "--config", str(config)])
+    assert code == 2 and not out and "d = 7" in err
+
+
 def test_verify_rejects_bad_spec(capsys):
     code, _, err = run(capsys, ["verify", "--theorem", "1.6", "--n", "6",
                                 "--s2", "4", "--delta", "3",

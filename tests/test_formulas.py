@@ -149,6 +149,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             bound_edges_max_degree(5, 5, 3)  # needs n > 2s
 
+    def test_max_degree_cap_stops_at_n_minus_one(self):
+        # a cap d = n - 1 admits every graph; beyond it the formula would
+        # keep growing past the true maximum
+        assert bound_edges_max_degree(6, 4, 5) == 9
+        for n, s2, d in ((6, 4, 6), (6, 4, 7), (7, 5, 8), (5, 4, 0)):
+            with pytest.raises(ValueError, match="d = "):
+                bound_edges_max_degree(n, s2, d)
+
     def test_max_degree_branch_boundaries(self):
         # overlapping branch conditions must agree where they meet
         for s2 in range(4, 13):

@@ -60,7 +60,7 @@ def naive_verify(spec: VerifySpec):
     passing = naive_passing(spec)
     if not passing:
         return None, 0, []
-    counts = [count_motif(g, spec.effective_motif()) for g in passing]
+    counts = [count_motif(g, spec.motif) for g in passing]
     best = max(counts)
     witnesses = sorted(to_graph6(g) for g, c in zip(passing, counts) if c == best)
     return best, len(passing), witnesses[:16]
@@ -321,11 +321,25 @@ def test_nonexistence_detects_counterexample(monkeypatch, tmp_path):
 
     path = tmp_path / "k7.g6"
     path.write_text("F~~~w\n")  # K_7
-    monkeypatch.setattr(V, "_refutes", lambda s2, delta, masks, inv: inv["mind"] == 6)
+    monkeypatch.setattr(V, "_select", lambda key, n, masks, inv: inv["mind"] == 6)
     r = verify_nonexistence(7, 4, 3, source="graph6-stream", corpus=str(path))
     assert r.verdict == "counterexample-found"
     assert r.counterexamples == ("F~~~w",)
     assert r.qualifying == 1
+
+
+@pytest.mark.parametrize("n, s2", [(6, -1), (6, 3), (5, 5)])
+def test_nonexistence_rejects_questions_outside_the_hypotheses(n, s2):
+    with pytest.raises(ValueError, match="outside n >= 2s"):
+        verify_nonexistence(n, s2, 3)
+
+
+def test_counterexample_rederivation_fails_loudly():
+    import fracmatch.verifier as V
+
+    k5 = Graph.from_edge_mask(5, (1 << 10) - 1)  # nu2 = 5, not 4
+    with pytest.raises(AssertionError, match="counterexample"):
+        V._check_witness(("s2", 4, "at-least", 3), None, k5, 0)
 
 
 def test_convexity_reports():
@@ -390,6 +404,11 @@ def test_mask_invariants_rejects_wide_graphs():
         mask_invariants(9, np.zeros(1, dtype=np.uint64))
 
 
+# a filter key that reads the invariants and that no graph passes, with no
+# folds: a scan of it computes and spot-checks the invariants alone
+NO_GRAPHS = ("s2", 5, "at-least", 2)
+
+
 @pytest.mark.parametrize("n, source", [(8, "graph6-stream"), (5, "native"), (6, "native")])
 def test_spot_check_floor(n, source, corpus8, monkeypatch):
     import fracmatch.verifier as V
@@ -402,7 +421,7 @@ def test_spot_check_floor(n, source, corpus8, monkeypatch):
 
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
     scanned, spot_checked = V._fold_scan(n, source, None if source == "native" else corpus8,
-                                         1, [])
+                                         1, {NO_GRAPHS: []})
     assert len(calls) == spot_checked >= min(scanned, 256)
 
 
@@ -416,6 +435,57 @@ def test_spec_accepts_the_values_a_theorem_fixes():
     VerifySpec("1.1", 6, k=2, motif=Clique(2))
     VerifySpec("1.2", 6, s2=4, d=3, motif=Clique(2))
     VerifySpec("1.4", 6, s2=4, delta=1, motif=Clique(2))
+
+
+def test_spec_stores_the_values_a_theorem_fixes():
+    assert VerifySpec("1.1", 6, k=2).motif == Clique(2)
+    assert VerifySpec("1.2", 6, s2=4, d=3).motif == Clique(2)
+    spec = VerifySpec("1.4", 6, s2=4)
+    assert (spec.motif, spec.delta, spec.delta_mode) == (Clique(2), 1, "exact")
+    assert spec == VerifySpec("1.4", 6, s2=4, delta=1, motif=Clique(2))
+    assert spec.filter_key() == ("s2", 4, "at-least", 1)
+    assert spec.to_json_dict() == {"theorem": "1.4", "n": 6, "s2": 4, "source": "native"}
+
+
+# one key of each filter kind, each with graphs that pass and graphs that do
+# not at n = 5, and the nonexistence key, which no graph passes
+FILTER_KEYS = [("k", 1), ("k", 2), ("s2", 4, "d", 2), ("s2", 4, "d", 3),
+               ("s2", 4, "exact", 1), ("s2", 5, "exact", 2), ("s2", 4, "at-least", 1),
+               ("s2", 5, "at-least", 2), ("s2", 4, "at-least", 3)]
+
+
+@pytest.mark.parametrize("key", FILTER_KEYS, ids=str)
+def test_select_vector_equals_scalar_on_every_graph_n5(key):
+    import fracmatch.verifier as V
+
+    masks = np.arange(1 << 10, dtype=np.uint32)
+    vector = V._select(key, 5, masks, mask_invariants(5, masks))
+    assert vector.dtype == bool and vector.shape == masks.shape
+    scalar = []
+    for mask in range(1 << 10):
+        g = Graph.from_edge_mask(5, mask)
+        lo, hi, _ = degree_stats(g)
+        inv = {"nu": matching_number(g), "nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
+        scalar.append(V._select(key, 5, None, inv))
+    assert all(type(flag) is bool for flag in scalar)
+    assert vector.tolist() == scalar
+    assert any(scalar) == (key != ("s2", 4, "at-least", 3))
+    assert not all(scalar)
+
+
+@pytest.mark.parametrize("n, masks", [
+    (5, np.arange(1 << 10, dtype=np.uint32)),
+    (8, np.random.default_rng(8).integers(0, 1 << 28, size=2000, dtype=np.uint32)),
+    (8, np.random.default_rng(9).integers(0, 1 << 28, size=2000, dtype=np.uint64)),
+], ids=["n5-all", "n8-uint32", "n8-uint64"])
+def test_graph6_sort_keys_follow_graph6_order(n, masks):
+    import fracmatch.verifier as V
+
+    keys = V._graph6_sort_keys(n, masks)
+    assert keys.dtype == masks.dtype and len(set(keys.tolist())) == len(set(masks.tolist()))
+    assert int(keys.max()) < 1 << n * (n - 1) // 2
+    text = [to_graph6(Graph.from_edge_mask(n, int(mask))) for mask in masks]
+    assert [text[i] for i in np.argsort(keys, kind="stable")] == sorted(text)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +557,11 @@ def test_spot_check_sample_spans_the_whole_scan(source, monkeypatch, corpus8):
     monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", 8)
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
     if source == "native":
-        scanned, spot_checked = V._fold_scan(6, source, None, 1, [])
+        scanned, spot_checked = V._fold_scan(6, source, None, 1, {NO_GRAPHS: []})
         masks = list(range(scanned))
     else:
         text = io.StringIO(corpus8.read_text())  # read once, like a pipe
-        scanned, spot_checked = V._fold_scan(8, source, text, 1, [])
+        scanned, spot_checked = V._fold_scan(8, source, text, 1, {NO_GRAPHS: []})
         masks = [g.edge_mask() for _, g in read_graph6_stream(corpus8)]
     assert scanned == len(masks) == (1 << 15 if source == "native" else 12346)
     assert checked == masks[::16]
@@ -644,10 +714,10 @@ def test_one_filter_serves_every_motif(monkeypatch):
     monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
     single = [report_fields(verify_bound(spec, jobs=1)) for spec in specs]
     selections = []
-    select = VerifySpec.select
+    select = V._select
     with monkeypatch.context() as patch:
-        patch.setattr(VerifySpec, "select",
-                      lambda spec, masks, inv: selections.append(masks) or select(spec, masks, inv))
+        patch.setattr(V, "_select", lambda key, n, masks, inv:
+                      selections.append(masks) or select(key, n, masks, inv))
         assert [report_fields(r) for r in verify_specs(specs, jobs=1)] == single
     # once per filter and chunk, and once per report for its first witness
     assert sum(masks is not None for masks in selections) == 2 * 8
@@ -665,7 +735,7 @@ def test_one_filter_serves_every_motif(monkeypatch):
     assert grouped == single
     # each chunk goes out with two filters of six folds each
     n, chunk, start, total, filters, invariants = tasks[0]
-    assert [len(folds) for _, folds in filters] == [6, 6]
+    assert [len(folds) for folds in filters.values()] == [6, 6]
     sizes = PicklingPool.sizes
     assert len(tasks) == len(sizes) == 8 and max(sizes) < RESULT_SIZE_BOUND
 
