@@ -5,13 +5,17 @@ or half-integer, so it is carried here as its doubled integer value and no
 floating point appears anywhere.  Two independent routes are provided:
 
 * a deficiency maximization over all vertex subsets T, which also yields a
-  witness T attaining max (isolated(G-T) - |T|), and
+  witness T attaining max (isolated(G-T) - |T|); it counts the isolated
+  vertices of G - T as S minus N(S) for S = V - T, with N(S) read from two
+  half-size neighbourhood tables, and
 * half the size of a maximum matching of the bipartite double cover,
   found with Hopcroft-Karp.
 
 The double-cover matching additionally produces an optimal half-integral
 edge weighting whose feasibility and total are checked by the caller's
-tests rather than trusted.
+tests rather than trusted.  The ordinary matching number comes from a
+memoized search that branches only on the partners of the lowest
+non-isolated vertex.
 """
 
 from __future__ import annotations
@@ -74,52 +78,54 @@ MAX_DEFICIENCY_SCAN = 24
 def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     """Exhaustive Tutte-Berge style scan: nu* = (n - max_T(i(G-T) - |T|)) / 2.
 
-    Subsets are walked in Gray-code order so the isolated-vertex count of
-    G - T is maintained incrementally.  Ties among maximizing subsets are
-    broken toward the lexicographically smallest sorted vertex tuple.
+    With S = V - T, the isolated vertices of G - T are S minus N(S), so the
+    deficiency of T is 2|S| - n - |S & N(S)|.  N(S) is the OR of N(S_low)
+    and N(S_high), read from one table per half of the vertex set (2^floor(n/2)
+    and 2^ceil(n/2) entries, one OR each), so memory is O(2^ceil(n/2)).
+    Plain ints only: this route shares no code with the König–Ore kernel.
+    Ties among maximizing subsets are broken toward the lexicographically
+    smallest sorted vertex tuple.
     """
     n = g.n
     if n > MAX_DEFICIENCY_SCAN:
         raise ValueError(f"deficiency scan limited to n <= {MAX_DEFICIENCY_SCAN}, got {n}")
-    adj = g.adj
-    # out_deg[v] = neighbors of v outside T, maintained for every vertex
-    out_deg = [nb.bit_count() for nb in adj]
-    t_mask = 0
-    iso = sum(1 for v in range(n) if out_deg[v] == 0)
+    h = n // 2
+    low = _neighbourhood_table(g.adj, 0, h)
+    high = _neighbourhood_table(g.adj, h, n - h)
+    full = (1 << n) - 1
+    best = -n - 1  # below every deficiency
+    best_t = 0
+    for b, nb_high in enumerate(high):
+        s_high = b << h
+        for a, nb_low in enumerate(low):
+            s = s_high | a
+            deficiency = 2 * s.bit_count() - n - (s & (nb_low | nb_high)).bit_count()
+            if deficiency > best:
+                best, best_t = deficiency, full ^ s
+            elif deficiency == best and _lex_before(full ^ s, best_t):
+                best_t = full ^ s
+    t = tuple(_bits(best_t))
+    return HalfInt(n - best), DeficiencyWitness(t, best + len(t))
 
-    best = iso  # T = empty set
-    best_t = ()
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        w = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        if gray >> w & 1:  # w enters T
-            if out_deg[w] == 0:
-                iso -= 1
-            t_mask |= 1 << w
-            for u in _bits(adj[w]):
-                out_deg[u] -= 1
-                if out_deg[u] == 0 and not t_mask >> u & 1:
-                    iso += 1
-        else:  # w leaves T
-            t_mask &= ~(1 << w)
-            for u in _bits(adj[w]):
-                out_deg[u] += 1
-                if out_deg[u] == 1 and not t_mask >> u & 1:
-                    iso -= 1
-            if out_deg[w] == 0:
-                iso += 1
-        deficiency = iso - t_mask.bit_count()
-        if deficiency > best:
-            best = deficiency
-            best_t = tuple(_bits(t_mask))
-        elif deficiency == best:
-            cand = tuple(_bits(t_mask))
-            if cand < best_t:
-                best_t = cand
-    isolated_at_best = best + len(best_t)
-    return HalfInt(n - best), DeficiencyWitness(best_t, isolated_at_best)
+
+def _neighbourhood_table(adj: tuple[int, ...], base: int, k: int) -> list[int]:
+    """N(S) for every subset S of vertices base..base+k-1, indexed by S >> base."""
+    table = [0] * (1 << k)
+    for s in range(1, 1 << k):
+        lowest = s & -s
+        table[s] = table[s ^ lowest] | adj[base + lowest.bit_length() - 1]
+    return table
+
+
+def _lex_before(a: int, b: int) -> bool:
+    """Whether sorted(bits(a)) < sorted(bits(b)) as tuples, for masks a != b.
+
+    At the lowest differing bit x, the mask holding x comes first exactly
+    when the other one continues above x; otherwise the other is a prefix.
+    """
+    x = (a ^ b) & -(a ^ b)
+    above = -(x << 1)  # every bit above x
+    return bool(b & above) if a & x else not a & above
 
 
 def _double_cover_matching(g: Graph) -> tuple[int, list[int]]:
@@ -201,7 +207,12 @@ MAX_MATCHING_BRANCH = 16
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum matching size by branching on the lowest non-isolated vertex."""
+    """Maximum matching size by branching on the lowest non-isolated vertex v.
+
+    Some maximum matching covers v: if M leaves v exposed, a neighbour u is
+    covered (else M + uv is larger), and swapping u's edge for uv keeps |M|.
+    So only v's partners are tried, stopping once floor(|avail| / 2) is reached.
+    """
     if g.n > MAX_MATCHING_BRANCH:
         raise ValueError(f"matching search limited to n <= {MAX_MATCHING_BRANCH}, got {g.n}")
     adj = g.adj
@@ -221,11 +232,15 @@ def matching_number(g: Graph) -> int:
         hit = cache.get(avail)
         if hit is not None:
             return hit
-        v_bit = avail & -avail
-        v = v_bit.bit_length() - 1
-        best = rec(avail ^ v_bit)  # leave v unmatched
-        for u in _bits(adj[v] & avail):
-            best = max(best, 1 + rec(avail ^ v_bit ^ (1 << u)))
+        rest = avail ^ low
+        cap = avail.bit_count() // 2
+        best = 0
+        for u in _bits(adj[v] & rest):
+            got = 1 + rec(rest ^ (1 << u))
+            if got > best:
+                best = got
+                if best == cap:
+                    break
         cache[avail] = best
         return best
 

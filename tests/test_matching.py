@@ -1,9 +1,13 @@
 """Fractional matching number: two routes, certificates, matching number."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from fracmatch.graphs import (
     Graph,
+    _bits,
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
@@ -13,7 +17,9 @@ from fracmatch.graphs import (
     join,
 )
 from fracmatch.matching import (
+    DeficiencyWitness,
     HalfInt,
+    _lex_before,
     fractional_certificate,
     matching_number,
     nu_star_deficiency,
@@ -21,6 +27,83 @@ from fracmatch.matching import (
 )
 
 from conftest import random_graph
+
+
+def deficiency_by_gray_walk(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
+    """A Gray-code walk over T with incremental isolated counts, kept as the
+    oracle of the split-table ``nu_star_deficiency``: same value, same
+    lexicographically smallest witness."""
+    n = g.n
+    adj = g.adj
+    # out_deg[v] = neighbors of v outside T, maintained for every vertex
+    out_deg = [nb.bit_count() for nb in adj]
+    t_mask = 0
+    iso = sum(1 for v in range(n) if out_deg[v] == 0)
+
+    best = iso  # T = empty set
+    best_t = ()
+    prev_gray = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        w = (gray ^ prev_gray).bit_length() - 1
+        prev_gray = gray
+        if gray >> w & 1:  # w enters T
+            if out_deg[w] == 0:
+                iso -= 1
+            t_mask |= 1 << w
+            for u in _bits(adj[w]):
+                out_deg[u] -= 1
+                if out_deg[u] == 0 and not t_mask >> u & 1:
+                    iso += 1
+        else:  # w leaves T
+            t_mask &= ~(1 << w)
+            for u in _bits(adj[w]):
+                out_deg[u] += 1
+                if out_deg[u] == 1 and not t_mask >> u & 1:
+                    iso -= 1
+            if out_deg[w] == 0:
+                iso += 1
+        deficiency = iso - t_mask.bit_count()
+        if deficiency > best:
+            best = deficiency
+            best_t = tuple(_bits(t_mask))
+        elif deficiency == best:
+            cand = tuple(_bits(t_mask))
+            if cand < best_t:
+                best_t = cand
+    isolated_at_best = best + len(best_t)
+    return HalfInt(n - best), DeficiencyWitness(best_t, isolated_at_best)
+
+
+def matching_by_two_branches(g: Graph) -> int:
+    """A search that also tries leaving the lowest vertex unmatched, kept as
+    the oracle of ``matching_number``, which drops that branch."""
+    adj = g.adj
+    cache: dict[int, int] = {}
+
+    def rec(avail: int) -> int:
+        m = avail
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if adj[v] & avail:
+                break
+            m ^= low
+        else:
+            return 0
+        avail = m  # isolated prefix vertices never matter again
+        hit = cache.get(avail)
+        if hit is not None:
+            return hit
+        v_bit = avail & -avail
+        v = v_bit.bit_length() - 1
+        best = rec(avail ^ v_bit)  # leave v unmatched
+        for u in _bits(adj[v] & avail):
+            best = max(best, 1 + rec(avail ^ v_bit ^ (1 << u)))
+        cache[avail] = best
+        return best
+
+    return rec((1 << g.n) - 1)
 
 
 def check_certificate(g: Graph) -> int:
@@ -177,3 +260,50 @@ def test_delete_edge_never_increases(rng):
         e = rng.choice(g.edges())
         smaller = delete_edges(g, [e])
         assert nu_star_fast(smaller).doubled <= nu_star_fast(g).doubled
+
+
+class TestSplitTableDeficiency:
+    def test_equals_gray_walk_exhaustive_n5(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                assert nu_star_deficiency(g) == deficiency_by_gray_walk(g)
+
+    def test_equals_gray_walk_random(self):
+        # odd n and n = 1 give the uneven split of the two tables
+        rng = random.Random(10)
+        for n in range(1, 15):
+            for _ in range(40 if n <= 10 else 4):
+                g = random_graph(rng, n)
+                assert nu_star_deficiency(g) == deficiency_by_gray_walk(g)
+
+    def test_tie_break_matches_tuple_order(self):
+        tuples = [tuple(_bits(m)) for m in range(1 << 7)]
+        for a in range(1 << 7):
+            for b in range(1 << 7):
+                if a != b:
+                    assert _lex_before(a, b) == (tuples[a] < tuples[b])
+
+    def test_memory_stays_split(self):
+        # two tables of 2^8 entries; a flat 2^16 table would peak near 2.6 MB
+        g = random_graph(random.Random(16), 16)
+        tracemalloc.start()
+        try:
+            nu_star_deficiency(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
+class TestMatchingWithoutSkipBranch:
+    def test_equals_two_branch_search_exhaustive_n6(self):
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                assert matching_number(g) == matching_by_two_branches(g)
+
+    def test_equals_two_branch_search_random(self):
+        rng = random.Random(16)
+        for n in range(1, 17):
+            for _ in range(30):
+                g = random_graph(rng, n)
+                assert matching_number(g) == matching_by_two_branches(g)
