@@ -7,17 +7,19 @@ r1 and r2 with every cross edge present; edges inside A or B are ignored
 
 Counts are plain Python ints, so they are exact at any magnitude.  The
 optimized counters work on neighbor bitmasks; ``count_oracle`` re-counts by
-bare enumeration of subsets and is kept deliberately naive so the two
-routes stay independent.
+bare enumeration of the motif's copies in K_n, each tested for containment
+as an edge mask, and is kept deliberately naive so the two routes stay
+independent.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, pair_index
 
 
 @dataclass(frozen=True)
@@ -116,25 +118,27 @@ def count_bicliques(g: Graph, r1: int, r2: int) -> int:
 MAX_ORACLE_VERTICES = 12
 
 
+@cache
+def _copy_masks(n: int, motif: Motif) -> frozenset[int]:
+    """The copies of the motif in K_n as edge masks, each once: the edges of
+    a clique fix its vertex set, and those of a biclique its bipartition."""
+    if isinstance(motif, Clique):
+        copies = (itertools.combinations(S, 2)
+                  for S in itertools.combinations(range(n), motif.ell))
+    else:
+        copies = (itertools.product(A, B) for A in itertools.combinations(range(n), motif.r1)
+                  for B in itertools.combinations([v for v in range(n) if v not in A], motif.r2))
+    return frozenset(sum(1 << pair_index(u, v) for u, v in edges) for edges in copies)
+
+
 def count_oracle(g: Graph, motif: Motif) -> int:
-    """Naive reference count by full enumeration, for cross-checking."""
+    """Naive reference count: the copies of the motif in K_n inside g."""
     if g.n > MAX_ORACLE_VERTICES:
         raise ValueError(f"oracle limited to n <= {MAX_ORACLE_VERTICES}, got {g.n}")
-    if isinstance(motif, Clique):
-        if motif.ell == 1:
-            return g.n
-        hits = 0
-        for S in itertools.combinations(range(g.n), motif.ell):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(S, 2)):
-                hits += 1
-        return hits
-    copies = set()
-    for A in itertools.combinations(range(g.n), motif.r1):
-        rest = [v for v in range(g.n) if v not in A]
-        for B in itertools.combinations(rest, motif.r2):
-            if all(g.has_edge(a, b) for a in A for b in B):
-                copies.add(frozenset((frozenset(A), frozenset(B))))
-    return len(copies)
+    if isinstance(motif, Clique) and motif.ell == 1:
+        return g.n  # one edgeless copy per vertex
+    edges = g.edge_mask()
+    return sum((copy & edges) == copy for copy in _copy_masks(g.n, motif))
 
 
 def count_motif(g: Graph, motif: Motif) -> int:

@@ -8,20 +8,19 @@ isomorphism, so class representatives are enough).  Every scan stops at
 MAX_SCAN_VERTICES; a VerifySpec is the question alone, valid at any n, and
 the worker count is an argument of the scan, not of the spec.
 
-Every chunk of either source takes one path: it gets its invariants
-(doubled fractional matching number, minimum/maximum degree) from
-vectorized numpy passes unless no filter reads them.  A filter is a key,
+Every chunk of either source takes one path.  A filter is a key,
 ``VerifySpec.filter_key``: ("k", k), ("s2", s2, "d", d) or ("s2", s2,
-mode, delta), which ``_select`` applies to a chunk's arrays or to one
-graph's scalar invariants.  Each distinct key of a group selects a chunk's
+mode, delta), and a chunk gets the invariants its keys read from
+vectorized numpy passes: the matching number nu for "k", the doubled
+fractional matching number nu2 and minimum/maximum degree for "s2".
+``_select`` applies a key to a chunk's arrays or to one graph's scalars.  Each distinct key of a group selects a chunk's
 passing masks once, and each spec of that key counts motif copies in them
 into a fold that keeps the maximum count, the number of passing graphs and
 the WITNESS_CAP smallest witnesses in graph6 order; a nonexistence scan is
 the at-least key with no motif, so its witnesses are counterexamples.
 With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers (never
 more than the CPU count) fold chunks and send back only the folds and a
-spot-check sample; scans of matching keys alone read no invariants and run
-in the calling process.  No fold depends on the chunking, so a report is
+spot-check sample.  No fold depends on the chunking, so a report is
 byte-identical for any worker count, and ``verify_specs`` serves every spec
 sharing (n, source, corpus) from one pass.
 
@@ -32,19 +31,20 @@ outside A because no vertex is its own neighbour; so the count is the sum
 over |A| = r1 of C(|N(A)|, r2), halved when r1 = r2 because each copy is
 then found once from each side.
 
-The vectorized nu* is not the scalar algorithm: it evaluates the
+The vectorized invariants are not the scalar algorithms: nu2 is the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
-S of (n - |S| + |N(S)|), on byte-wide neighbour rows (see
-``mask_invariants``).  Every scan cross-validates it in the calling
+S of (n - |S| + |N(S)|), and nu a perfect-matching DP over even vertex
+sets, both on byte-wide neighbour rows (``mask_invariants``,
+``matching_numbers``).  Every scan cross-validates them in the calling
 process: one mask in 4096, and at least 256 per scan (all of them in
-smaller scans), is re-checked through the scalar per-graph APIs
-(deficiency scan, double cover matching, degree stats), so a
-vectorization bug cannot slip through silently; a report's
-``spot_checked`` says how many graphs its scan re-checked.  Likewise the
-first witness of each report, and a nonexistence scan's first
-counterexample, is re-derived through the scalar APIs (``matching_number``
-for the matching filter): it must pass its key's filter and hold exactly
-the observed maximum of motif copies (``count_motif``), or none.
+smaller scans), has the invariants its chunk computed re-derived through
+the scalar per-graph APIs (deficiency scan and double cover matching for
+nu*, degree stats, ``matching_number``), so a vectorization bug cannot
+slip through silently; a report's ``spot_checked`` says how many graphs
+its scan re-checked.  Likewise each report's first witness, and a
+nonexistence scan's first counterexample, is re-derived by the same APIs:
+it must pass its key's filter and hold exactly the observed maximum of
+motif copies (``count_motif``), or none.
 """
 
 from __future__ import annotations
@@ -163,48 +163,46 @@ def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     return {"nu2": nu2, "mind": mind, "maxd": maxd}
 
 
-def matching_at_least_masks(n: int, k: int) -> list[int]:
-    """Edge-bit masks of all sets of k pairwise disjoint edges."""
-    pairs = list(itertools.combinations(range(n), 2))
-    out = []
+def matching_numbers(n: int, masks: np.ndarray) -> np.ndarray:
+    """The matching number nu of every edge mask, as uint8.
 
-    def rec(start: int, used: int, mask: int, depth: int) -> None:
-        if depth == k:
-            out.append(mask)
-            return
-        for idx in range(start, len(pairs)):
-            u, v = pairs[idx]
-            if used >> u & 1 or used >> v & 1:
-                continue
-            rec(idx + 1, used | 1 << u | 1 << v, mask | 1 << pair_index(u, v), depth + 1)
-
-    rec(0, 0, 0, 0)
-    return out
+    A perfect-matching DP over the even vertex sets S, on the neighbour
+    rows: pm[{}] = 1 and pm[S] = OR over u in S - v adjacent to v of
+    pm[S - v - u], v = min S.  A perfect matching on 2k vertices contains
+    one on 2k - 2, so nu counts the k >= 1 with pm[S] for some |S| = 2k.
+    Only sets without vertex 0 are stored: no S - v - u holds it."""
+    blocks = _neighbour_rows(n, masks)
+    size = min(len(masks), _BLOCK)
+    nu = np.zeros(len(masks), dtype=np.uint8)
+    kept = {S: i for i, S in enumerate(S for k in range(0, n, 2)
+                                        for S in itertools.combinations(range(1, n), k))}
+    pm = np.empty((len(kept) + 1, size), dtype=np.uint8)  # the last row: sets holding 0
+    pm[kept[()]] = 1
+    edge = np.empty((n * (n - 1) // 2, size), dtype=np.uint8)
+    found, tmp = np.empty((2, size), dtype=np.uint8)
+    for lo, hi, row in blocks:
+        e, p, f, t = edge[:, :hi - lo], pm[:, :hi - lo], found[:hi - lo], tmp[:hi - lo]
+        for v, u in itertools.combinations(range(n), 2):
+            np.right_shift(row[v], u, out=e[pair_index(v, u)])
+        np.bitwise_and(e, 1, out=e)
+        for k in range(1, n // 2 + 1):
+            f.fill(0)
+            for S in itertools.combinations(range(n), 2 * k):
+                v, rest = S[0], S[1:]
+                dst = p[kept.get(S, -1)]
+                dst.fill(0)
+                for j, u in enumerate(rest):
+                    np.bitwise_and(e[pair_index(v, u)], p[kept[rest[:j] + rest[j + 1:]]], out=t)
+                    np.bitwise_or(dst, t, out=dst)
+                np.bitwise_or(f, dst, out=f)
+            np.add(nu[lo:hi], f, out=nu[lo:hi])
+    return nu
 
 
 def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
-    """Boolean array: does the mask contain k pairwise disjoint edges."""
-    if k == 0:
-        return np.ones(masks.shape, dtype=bool)
-    if 2 * k > n:
-        return np.zeros(masks.shape, dtype=bool)
-    hit = np.zeros(masks.shape, dtype=bool)
-    for m in matching_at_least_masks(n, k):
-        mm = masks.dtype.type(m)
-        hit |= (masks & mm) == mm
-    return hit
-
-
-def clique_masks(n: int, ell: int) -> list[int]:
-    """Edge-bit masks of the K_ell copies in K_n: a graph holds a copy when
-    its mask contains the copy's."""
-    out = []
-    for S in itertools.combinations(range(n), ell):
-        m = 0
-        for u, v in itertools.combinations(S, 2):
-            m |= 1 << pair_index(u, v)
-        out.append(m)
-    return out
+    """Does each mask contain k disjoint edges; no scan calls this view,
+    but the bench harness traces its name."""
+    return matching_numbers(n, masks) >= k
 
 
 def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
@@ -217,7 +215,10 @@ def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
     if motif in (Clique(2), Biclique(1, 1)):
         return np.bitwise_count(masks).astype(np.min_scalar_type(n * (n - 1) // 2), copy=False)
     if isinstance(motif, Clique):
-        copies = clique_masks(n, motif.ell)
+        # the edge masks of the K_ell copies in K_n; a graph holds a copy
+        # when its mask contains the copy's
+        copies = [sum(1 << pair_index(u, v) for u, v in itertools.combinations(S, 2))
+                  for S in itertools.combinations(range(n), motif.ell)]
         counts = np.zeros(masks.shape, dtype=np.min_scalar_type(len(copies)))
         part, hit = np.empty_like(masks), np.empty(masks.shape, dtype=bool)
         for m in copies:
@@ -320,33 +321,21 @@ def native_invariants(n: int):
         yield masks, mask_invariants(n, masks)
 
 
-def _spot_sample(masks: np.ndarray, inv: dict[str, np.ndarray], start: int,
-                 total: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The spot-check sample among ``masks``, entries start, start + 1, ...
-    of a scan of ``total`` graphs, with its invariants.
-
-    The sample is every stride-th entry of the whole scan, with stride
-    SPOT_CHECK_STRIDE or less so that at least min(total, SPOT_CHECK_FLOOR)
-    entries are checked."""
-    stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
-    pick = slice(-start % stride, None, stride)
-    return masks[pick], {key: values[pick] for key, values in inv.items()}
-
-
 def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
-    """Re-derive every entry through the scalar APIs; raise on mismatch."""
-    for idx in range(len(masks)):
-        g = Graph.from_edge_mask(n, int(masks[idx]))
-        nu_fast = nu_star_fast(g).doubled
-        nu_slow = nu_star_deficiency(g)[0].doubled
-        lo, hi, _ = degree_stats(g)
-        if not (nu_fast == nu_slow == int(inv["nu2"][idx])):
-            raise AssertionError(
-                f"nu* spot check failed at mask {int(masks[idx])}: "
-                f"fast={nu_fast} deficiency={nu_slow} vector={int(inv['nu2'][idx])}"
-            )
-        if lo != int(inv["mind"][idx]) or hi != int(inv["maxd"][idx]):
-            raise AssertionError(f"degree spot check failed at mask {int(masks[idx])}")
+    """Re-derive every entry's invariants, and only those, through the
+    scalar APIs, nu2 by both scalar routes; raise on mismatch."""
+    for idx, mask in enumerate(masks.tolist()):
+        g = Graph.from_edge_mask(n, mask)
+        scalar = _graph_invariants(g, inv)
+        if "nu2" in inv:
+            slow = nu_star_deficiency(g)[0].doubled
+            if slow != scalar["nu2"]:
+                raise AssertionError(f"nu* spot check failed at mask {mask}: "
+                                     f"fast={scalar['nu2']} deficiency={slow}")
+        vector = {name: int(values[idx]) for name, values in inv.items()}
+        if scalar != vector:
+            raise AssertionError(f"spot check failed at mask {mask}: scalar {scalar}, "
+                                 f"vector {vector}")
 
 
 def _in_order(fn: Callable, tasks, jobs: int):
@@ -524,16 +513,28 @@ def _winning_constructions(key: tuple, n: int, motif: Motif, bound: int) -> list
             if formulas.g_motif(p, motif) == bound]
 
 
-def _select(key: tuple, n: int, masks: np.ndarray | None, inv: dict) -> np.ndarray | bool:
+# the invariants each kind of filter key reads (see VerifySpec.filter_key)
+_KEY_INVARIANTS = {"k": ("nu",), "s2": ("nu2", "mind", "maxd")}
+
+
+def _graph_invariants(g: Graph, names) -> dict[str, int]:
+    """The invariants ``names`` of one graph through the per-graph APIs: the
+    scalar mirror of those ``_fold_chunk`` computes for a chunk."""
+    inv = {}
+    if "nu2" in names:
+        lo, hi, _ = degree_stats(g)
+        inv.update(nu2=nu_star_fast(g).doubled, mind=lo, maxd=hi)
+    if "nu" in names:
+        inv["nu"] = matching_number(g)
+    return inv
+
+
+def _select(key: tuple, inv: dict) -> np.ndarray | bool:
     """Which graphs pass filter ``key`` (see ``VerifySpec.filter_key``): a
-    boolean array for a chunk's masks and invariant arrays, or a bool for one
-    graph's scalar invariants, with ``masks`` None and, for the matching
-    filter, the graph's matching number as ``inv["nu"]``."""
+    boolean array for a chunk's invariant arrays, or a bool for one graph's
+    scalar invariants."""
     if key[0] == "k":
-        k = key[1]
-        if masks is None:
-            return inv["nu"] == k
-        return matching_number_at_least(n, masks, k) & ~matching_number_at_least(n, masks, k + 1)
+        return inv["nu"] == key[1]
     _, s2, mode, bound = key
     sel = inv["nu2"] == s2
     if mode == "d":
@@ -593,20 +594,28 @@ class _Fold:
         return [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
 
 
-def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple | None]:
-    """One chunk of a scan folded into empty folds: the chunk's size, each
-    filter's folds and the chunk's spot-check sample (None without
-    invariants), all that a worker sends back.  Each filter selects once,
-    and only its passing masks are held while its folds count them."""
-    n, chunk, start, total, filters, invariants = task
+def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple]:
+    """One chunk, entries start, start + 1, ... of a scan of ``total``
+    graphs, folded into empty folds: the chunk's size, each filter's folds
+    and a spot-check sample, all that a worker sends back.  The chunk
+    computes the invariants its filters read, and each filter selects once.
+    The sample is every stride-th entry of the scan with its invariants, the
+    stride at most SPOT_CHECK_STRIDE and small enough to check at least
+    min(total, SPOT_CHECK_FLOOR) entries."""
+    n, chunk, start, total, filters = task
     masks = _as_masks(chunk)
-    inv = mask_invariants(n, masks) if invariants else None
+    names = {name for key in filters for name in _KEY_INVARIANTS[key[0]]}
+    inv = mask_invariants(n, masks) if "nu2" in names else {}
+    if "nu" in names:
+        inv["nu"] = matching_numbers(n, masks)
     for key, folds in filters.items():
-        hit = masks[_select(key, n, masks, inv)]
+        hit = masks[_select(key, inv)]
         for fold in folds:
             fold.add(n, hit)
         del hit
-    sample = None if inv is None else _spot_sample(masks, inv, start, total)
+    stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
+    pick = slice(-start % stride, None, stride)
+    sample = masks[pick], {name: values[pick] for name, values in inv.items()}
     return len(masks), list(filters.values()), sample
 
 
@@ -614,22 +623,15 @@ def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
                filters: dict[tuple, list[_Fold]]) -> tuple[int, int]:
     """Fold every chunk of one scan into the folds of every filter key, in
     scan order, and spot-check every chunk's sample here; returns the number
-    of graphs scanned and the number spot-checked.  Invariants are computed
-    only if some filter reads them (all but the matching filter do); without
-    them no graph is spot-checked and no worker starts."""
+    of graphs scanned and the number spot-checked."""
     chunks = _native_chunks(n) if source == "native" else load_stream(corpus, n)
-    invariants = any(key[0] != "k" for key in filters)
     tasks = ((n, chunk, start, total,
-              {key: [_Fold(f.motif) for f in folds] for key, folds in filters.items()},
-              invariants)
+              {key: [_Fold(f.motif) for f in folds] for key, folds in filters.items()})
              for chunk, start, total in chunks)
-    # workers compute invariants; a scan without them runs in this process
-    workers = (jobs or os.cpu_count() or 1) if invariants else 1
     scanned = checked = 0
-    for size, parts, sample in _in_order(_fold_chunk, tasks, workers):
-        if sample is not None:
-            _spot_check(n, *sample)
-            checked += len(sample[0])
+    for size, parts, sample in _in_order(_fold_chunk, tasks, jobs or os.cpu_count() or 1):
+        _spot_check(n, *sample)
+        checked += len(sample[0])
         for folds, part in zip(filters.values(), parts):
             for fold, later in zip(folds, part):
                 fold.merge(later)
@@ -641,12 +643,7 @@ def _check_witness(key: tuple, motif: Motif | None, g: Graph, best: int) -> None
     """Re-derive one witness through the scalar per-graph APIs: it must pass
     filter ``key`` and hold exactly ``best`` copies of ``motif``, or of none
     with ``motif`` None, as a nonexistence scan's counterexample does."""
-    if key[0] == "k":
-        inv = {"nu": matching_number(g)}
-    else:
-        lo, hi, _ = degree_stats(g)
-        inv = {"nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
-    passes = bool(_select(key, g.n, None, inv))
+    passes = bool(_select(key, _graph_invariants(g, _KEY_INVARIANTS[key[0]])))
     count = 0 if motif is None else count_motif(g, motif)
     if not passes or count != best:
         raise AssertionError(f"witness or counterexample {to_graph6(g)} re-derived: passes "
@@ -678,11 +675,10 @@ def verify_specs(specs: list[VerifySpec], jobs: int | None = None) -> list[Verif
     maximum motif count against the theorem bound.  Reports come in input
     order, and do not depend on ``jobs``, the scan's worker count.
 
-    Specs sharing (n, source, corpus) are served by one scan, which computes
-    invariants only if some spec of the group reads them (all but theorem
-    1.1 do), and selects each chunk's passing graphs once for all specs of
-    one filter (``VerifySpec.filter_key``); every spec's scan is checked
-    before the first one starts.  A report's elapsed_ms is its own count
+    Specs sharing (n, source, corpus) are served by one scan, which selects
+    each chunk's passing graphs once for all specs of one filter
+    (``VerifySpec.filter_key``); every spec's scan is checked before the
+    first one starts.  A report's elapsed_ms is its own count
     and witness time; the first report of a group also carries the shared
     scan time, invariants and filters included."""
     groups: dict[tuple, list[int]] = {}

@@ -404,7 +404,7 @@ def test_parity_check_failure_exits_4(capsys, monkeypatch, tmp_path, target, arg
 @pytest.mark.parametrize("target, argv", [
     ("count_motif_vector", ["--theorem", "1.6", "--n", "5", "--s2", "4", "--delta", "1",
                             "--motif", "clique:2"]),
-    ("matching_number_at_least", ["--theorem", "1.1", "--n", "6", "--k", "2"]),
+    ("matching_numbers", ["--theorem", "1.1", "--n", "6", "--k", "2"]),
 ])
 def test_wrong_vector_witness_exits_4(capsys, monkeypatch, target, argv):
     # a miscounted or misfiltered scan would report bound-violated (exit 1);
@@ -415,10 +415,27 @@ def test_wrong_vector_witness_exits_4(capsys, monkeypatch, target, argv):
     if target == "count_motif_vector":
         monkeypatch.setattr(V, target, lambda n, masks, motif: vector(n, masks, motif) + 1)
     else:
-        monkeypatch.setattr(V, target, lambda n, masks, k: vector(n, masks, k - 1))
+        # K_6 (nu 3, 15 edges) passes as nu 2; the n = 6 spot-check sample
+        # is every 128th mask, which misses it
+        k6 = (1 << 15) - 1
+        monkeypatch.setattr(V, target, lambda n, masks: vector(n, masks) - (masks == k6))
     code, out, err = run(capsys, ["verify"] + argv + ["--jobs", "1"])
     assert code == 4 and out == ""
     assert "internal check failed" in err and "witness" in err
+
+
+def test_wrong_vector_matching_number_fails_the_spot_check(capsys, monkeypatch):
+    # mask 0 is always in the sample and never the witness of k = 2, so
+    # only the spot check of nu can catch a DP that is off there
+    import fracmatch.verifier as V
+
+    vector = V.matching_numbers
+    monkeypatch.setattr(V, "matching_numbers", lambda n, masks: vector(n, masks) + (masks == 0))
+    code, out, err = run(capsys, ["verify", "--theorem", "1.1", "--n", "6", "--k", "2",
+                                  "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "spot check" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

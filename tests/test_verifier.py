@@ -1,5 +1,6 @@
 """Exhaustive verifier: vectorized engine against a naive reference scan."""
 
+import itertools
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from fracmatch.corpus import read_graph6_stream
 from fracmatch.counting import Biclique, Clique, count_motif
 from fracmatch.formulas import feasible_t_max, verify_convexity
-from fracmatch.graphs import Graph, all_labeled_graphs, degree_stats, from_graph6, to_graph6
+from fracmatch.graphs import (
+    Graph,
+    all_labeled_graphs,
+    degree_stats,
+    from_graph6,
+    pair_index,
+    to_graph6,
+)
 from fracmatch.matching import matching_number, nu_star_deficiency, nu_star_fast
 from fracmatch.verifier import (
     WITNESS_CAP,
@@ -20,6 +28,7 @@ from fracmatch.verifier import (
     count_motif_vector,
     mask_invariants,
     matching_number_at_least,
+    matching_numbers,
     native_invariants,
     verify_bound,
     verify_nonexistence,
@@ -91,6 +100,85 @@ def test_matching_number_vector(rng):
             flags = matching_number_at_least(n, masks, k)
             for mask, flag in zip(masks, flags):
                 assert bool(flag) == (matching_number(Graph.from_edge_mask(n, int(mask))) >= k)
+
+
+def matching_at_least_masks(n: int, k: int) -> list[int]:
+    """Edge-bit masks of all sets of k pairwise disjoint edges."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+
+    def rec(start: int, used: int, mask: int, depth: int) -> None:
+        if depth == k:
+            out.append(mask)
+            return
+        for idx in range(start, len(pairs)):
+            u, v = pairs[idx]
+            if used >> u & 1 or used >> v & 1:
+                continue
+            rec(idx + 1, used | 1 << u | 1 << v, mask | 1 << pair_index(u, v), depth + 1)
+
+    rec(0, 0, 0, 0)
+    return out
+
+
+def contains_matching(n, masks, k):
+    """Oracle for the matching DP: does each mask contain one of the
+    k-matchings of K_n, tested one by one."""
+    hit = np.zeros(masks.shape, dtype=bool)
+    for m in matching_at_least_masks(n, k):
+        mm = masks.dtype.type(m)
+        hit |= (masks & mm) == mm
+    return hit
+
+
+def assert_matching_numbers_match_scalar(n, masks, nu):
+    assert nu.dtype == np.uint8 and nu.shape == masks.shape
+    expected = [matching_number(Graph.from_edge_mask(n, int(mask))) for mask in masks]
+    assert nu.tolist() == expected, n
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matching_numbers_every_labeled_graph(n, dtype):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=dtype)
+    assert_matching_numbers_match_scalar(n, masks, matching_numbers(n, masks))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_matching_numbers_random_masks(data):
+    n = data.draw(st.sampled_from([7, 8]))
+    dtype = data.draw(st.sampled_from([np.uint32, np.uint64]))
+    m = n * (n - 1) // 2
+    masks = np.array(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12)),
+                     dtype=dtype)
+    assert_matching_numbers_match_scalar(n, masks, matching_numbers(n, masks))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_matching_numbers_equal_containment_on_one_chunk(n):
+    masks = np.random.default_rng(n).integers(0, 1 << (n * (n - 1) // 2), size=1 << 19,
+                                             dtype=np.uint32)
+    nu = matching_numbers(n, masks)
+    for k in range(1, n // 2 + 2):
+        assert np.array_equal(nu >= k, contains_matching(n, masks, k)), (n, k)
+    assert set(np.unique(nu).tolist()) == set(range(1, n // 2 + 1))
+
+
+def test_matching_numbers_block_edges():
+    n = 8
+    masks = np.random.default_rng(20240902).integers(0, 1 << 28, size=(1 << 16) + 3,
+                                                     dtype=np.uint64)
+    whole = matching_numbers(n, masks)
+    pieces = [matching_numbers(n, masks[lo:lo + 4099]) for lo in range(0, len(masks), 4099)]
+    assert np.array_equal(whole, np.concatenate(pieces))
+    edge = slice((1 << 16) - 2, None)
+    assert_matching_numbers_match_scalar(n, masks[edge], whole[edge])
+
+    empty = matching_numbers(n, np.zeros(0, dtype=np.uint32))
+    assert empty.shape == (0,) and empty.dtype == np.uint8
+    with pytest.raises(ValueError, match="n <= 8"):
+        matching_numbers(9, np.zeros(1, dtype=np.uint64))
 
 
 def every_motif(n):
@@ -321,7 +409,7 @@ def test_nonexistence_detects_counterexample(monkeypatch, tmp_path):
 
     path = tmp_path / "k7.g6"
     path.write_text("F~~~w\n")  # K_7
-    monkeypatch.setattr(V, "_select", lambda key, n, masks, inv: inv["mind"] == 6)
+    monkeypatch.setattr(V, "_select", lambda key, inv: inv["mind"] == 6)
     r = verify_nonexistence(7, 4, 3, source="graph6-stream", corpus=str(path))
     assert r.verdict == "counterexample-found"
     assert r.counterexamples == ("F~~~w",)
@@ -459,14 +547,14 @@ def test_select_vector_equals_scalar_on_every_graph_n5(key):
     import fracmatch.verifier as V
 
     masks = np.arange(1 << 10, dtype=np.uint32)
-    vector = V._select(key, 5, masks, mask_invariants(5, masks))
+    vector = V._select(key, mask_invariants(5, masks) | {"nu": matching_numbers(5, masks)})
     assert vector.dtype == bool and vector.shape == masks.shape
     scalar = []
     for mask in range(1 << 10):
         g = Graph.from_edge_mask(5, mask)
         lo, hi, _ = degree_stats(g)
         inv = {"nu": matching_number(g), "nu2": nu_star_fast(g).doubled, "mind": lo, "maxd": hi}
-        scalar.append(V._select(key, 5, None, inv))
+        scalar.append(V._select(key, inv))
     assert all(type(flag) is bool for flag in scalar)
     assert vector.tolist() == scalar
     assert any(scalar) == (key != ("s2", 4, "at-least", 3))
@@ -716,11 +804,11 @@ def test_one_filter_serves_every_motif(monkeypatch):
     selections = []
     select = V._select
     with monkeypatch.context() as patch:
-        patch.setattr(V, "_select", lambda key, n, masks, inv:
-                      selections.append(masks) or select(key, n, masks, inv))
+        patch.setattr(V, "_select", lambda key, inv:
+                      selections.append(inv) or select(key, inv))
         assert [report_fields(r) for r in verify_specs(specs, jobs=1)] == single
     # once per filter and chunk, and once per report for its first witness
-    assert sum(masks is not None for masks in selections) == 2 * 8
+    assert sum(isinstance(inv["nu2"], np.ndarray) for inv in selections) == 2 * 8
     tasks = []
 
     class RecordingPool(PicklingPool):
@@ -734,7 +822,7 @@ def test_one_filter_serves_every_motif(monkeypatch):
     grouped = [report_fields(r) for r in verify_specs(specs, jobs=2)]
     assert grouped == single
     # each chunk goes out with two filters of six folds each
-    n, chunk, start, total, filters, invariants = tasks[0]
+    n, chunk, start, total, filters = tasks[0]
     assert [len(folds) for folds in filters.values()] == [6, 6]
     sizes = PicklingPool.sizes
     assert len(tasks) == len(sizes) == 8 and max(sizes) < RESULT_SIZE_BOUND
@@ -746,9 +834,9 @@ def test_spot_checked_counts_the_scan():
     assert verify_nonexistence(6, 5, 2, jobs=1).to_json_dict()["spot_checked"] == 256
     spec7 = VerifySpec("1.9", 7, s2=4, delta=1, motif=Biclique(1, 2))
     assert verify_bound(spec7, jobs=1).spot_checked == 512
-    # theorem 1.1 reads no invariants, so there is nothing to spot-check
+    # theorem 1.1 alone reads nu, and its scan spot-checks that
     only_matching = verify_specs([VerifySpec("1.1", 6, k=1), VerifySpec("1.1", 6, k=2)])
-    assert [r.spot_checked for r in only_matching] == [0, 0]
+    assert [r.spot_checked for r in only_matching] == [256, 256]
 
 
 
@@ -777,12 +865,4 @@ def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
     ]
     grouped = [report_fields(r) for r in verify_specs(specs)]
     single = [report_fields(verify_bound(spec)) for spec in specs]
-    # a group's reports share one scan and so its spot-check count, which a
-    # theorem 1.1 spec alone (a scan without invariants) does not have
-    scan_checks = {}
-    for spec, one in zip(specs, single):
-        key = (spec.n, spec.source, spec.corpus)
-        scan_checks[key] = max(scan_checks.get(key, 0), one.pop("spot_checked"))
-    for spec, many in zip(specs, grouped):
-        assert many.pop("spot_checked") == scan_checks[(spec.n, spec.source, spec.corpus)]
     assert grouped == single
