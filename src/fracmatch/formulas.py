@@ -283,7 +283,7 @@ def second_difference(family: str, t: int, *, s2: int, ell: int | None = None,
 class ConvexityReport:
     family: str
     points: int
-    min_value: int | None
+    min_value: int
     argmin: dict = field(hash=False)
     all_nonnegative: bool = True
 
@@ -322,21 +322,18 @@ def _convexity_points(family: str, grid: dict):
 
 
 def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
-    """Sweep the centered second difference over the grid; all must be >= 0."""
+    """Sweep the centered second difference over the grid; all must be >= 0.
+    A grid with no point raises ValueError, since an empty sweep shows nothing."""
     if family not in CONVEX_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
     grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
     if grid["s2"][0] > grid["s2"][1]:
         raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
-    points = 0
-    min_val: int | None = None
-    argmin: dict = {}
+    sweep = []
     for pt in _convexity_points(family, grid):
         t = pt.pop("t")
-        val = second_difference(family, t, **pt)
-        points += 1
-        if min_val is None or val < min_val:
-            min_val = val
-            argmin = dict(pt, t=t)
-    return ConvexityReport(family, points, min_val, argmin,
-                           all_nonnegative=(min_val is None or min_val >= 0))
+        sweep.append((second_difference(family, t, **pt), dict(pt, t=t)))
+    if not sweep:
+        raise ValueError(f"{family} grid {grid} has no points; the sweep certifies nothing")
+    min_val, argmin = min(sweep, key=lambda point: point[0])  # the first minimum
+    return ConvexityReport(family, len(sweep), min_val, argmin, all_nonnegative=min_val >= 0)

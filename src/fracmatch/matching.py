@@ -9,7 +9,7 @@ floating point appears anywhere.  Two independent routes are provided:
   vertices of G - T as S minus N(S) for S = V - T, with N(S) read from two
   half-size neighbourhood tables, and
 * half the size of a maximum matching of the bipartite double cover,
-  found with Hopcroft-Karp.
+  found by Kuhn's augmenting-path search on neighbour bitmasks.
 
 The double-cover matching additionally produces an optimal half-integral
 edge weighting whose feasibility and total are checked by the caller's
@@ -20,7 +20,6 @@ non-isolated vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits
@@ -129,52 +128,32 @@ def _lex_before(a: int, b: int) -> bool:
 
 
 def _double_cover_matching(g: Graph) -> tuple[int, list[int]]:
-    """Hopcroft-Karp on the bipartite double cover; returns (size, match_left).
+    """Kuhn's augmenting-path search on the double cover: (size, match_left).
 
     Left copy u is matched to right copy match_left[u] (-1 if exposed);
-    left u - right v is an edge exactly when uv is an edge of g.
+    left u - right v is an edge exactly when uv is an edge of g.  One pass
+    over the left side is maximum: a left vertex with no augmenting path
+    now never gets one later, so none is left at the end (Berge 1957).
     """
-    n = g.n
     adj = g.adj
-    INF = n + 1
-    match_left = [-1] * n
-    match_right = [-1] * n
-    dist = [0] * n
+    match_left = [-1] * g.n
+    match_right = [-1] * g.n
+
+    def augment(u: int) -> bool:
+        nonlocal seen
+        while free := adj[u] & ~seen:
+            v_bit = free & -free
+            seen |= v_bit
+            v = v_bit.bit_length() - 1
+            if match_right[v] == -1 or augment(match_right[v]):
+                match_left[u], match_right[v] = v, u
+                return True
+        return False
+
     size = 0
-    while True:
-        queue = deque()
-        for u in range(n):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in _bits(adj[u]):
-                w = match_right[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not found:
-            break
-
-        def advance(u: int) -> bool:
-            for v in _bits(adj[u]):
-                w = match_right[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and advance(w)):
-                    match_left[u] = v
-                    match_right[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
-        for u in range(n):
-            if match_left[u] == -1 and advance(u):
-                size += 1
+    for u in range(g.n):
+        seen = 0
+        size += augment(u)
     return size, match_left
 
 

@@ -13,11 +13,12 @@ Every chunk of either source takes one path.  A filter is a key,
 mode, delta), and a chunk gets the invariants its keys read from
 vectorized numpy passes: the matching number nu for "k", the doubled
 fractional matching number nu2 and minimum/maximum degree for "s2".
-``_select`` applies a key to a chunk's arrays or to one graph's scalars.  Each distinct key of a group selects a chunk's
-passing masks once, and each spec of that key counts motif copies in them
-into a fold that keeps the maximum count, the number of passing graphs and
-the WITNESS_CAP smallest witnesses in graph6 order; a nonexistence scan is
-the at-least key with no motif, so its witnesses are counterexamples.
+``_select`` applies a key to a chunk's arrays or to one graph's scalars.
+Each distinct key of a group selects a chunk's passing masks once, and
+each spec of that key counts motif copies in them into a fold that keeps
+the maximum count, the number of passing graphs and the WITNESS_CAP
+smallest witnesses in graph6 order; a nonexistence scan is the at-least
+key with no motif, so its witnesses are counterexamples.
 With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers (never
 more than the CPU count) fold chunks and send back only the folds and a
 spot-check sample.  No fold depends on the chunking, so a report is
@@ -41,10 +42,12 @@ smaller scans), has the invariants its chunk computed re-derived through
 the scalar per-graph APIs (deficiency scan and double cover matching for
 nu*, degree stats, ``matching_number``), so a vectorization bug cannot
 slip through silently; a report's ``spot_checked`` says how many graphs
-its scan re-checked.  Likewise each report's first witness, and a
-nonexistence scan's first counterexample, is re-derived by the same APIs:
-it must pass its key's filter and hold exactly the observed maximum of
-motif copies (``count_motif``), or none.
+its scan re-checked.  A chunk that computes both nu and nu2 also checks
+2 nu <= nu2 <= 3 nu (nu <= nu* <= 3 nu / 2) on every graph.  Likewise
+each report's first witness, and a nonexistence scan's first
+counterexample, is re-derived by the same APIs: it must pass its key's
+filter and hold exactly the observed maximum of motif copies
+(``count_motif``), or none.
 """
 
 from __future__ import annotations
@@ -471,6 +474,8 @@ class VerificationReport:
     spot_checked: int  # graphs of the scan re-derived through the scalar APIs
     passed: int
     verdict: str  # "exact-match" | "bound-violated" | "no-graphs"
+    # a witness is isomorphic to a winning construction; false where none is
+    # compared (theorems 1.1 and 1.2, see _winning_constructions)
     witness_matches_construction: bool
     elapsed_ms: int
 
@@ -598,7 +603,8 @@ def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple]:
     """One chunk, entries start, start + 1, ... of a scan of ``total``
     graphs, folded into empty folds: the chunk's size, each filter's folds
     and a spot-check sample, all that a worker sends back.  The chunk
-    computes the invariants its filters read, and each filter selects once.
+    computes the invariants its filters read (checking 2 nu <= nu2 <= 3 nu
+    on every graph when it computes both), and each filter selects once.
     The sample is every stride-th entry of the scan with its invariants, the
     stride at most SPOT_CHECK_STRIDE and small enough to check at least
     min(total, SPOT_CHECK_FLOOR) entries."""
@@ -608,6 +614,13 @@ def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple]:
     inv = mask_invariants(n, masks) if "nu2" in names else {}
     if "nu" in names:
         inv["nu"] = matching_numbers(n, masks)
+        if "nu2" in names:  # nu <= nu* <= 3 nu / 2 on every graph
+            nu, nu2 = inv["nu"], inv["nu2"]
+            bad = np.flatnonzero((nu2 < 2 * nu) | (nu2 > 3 * nu))
+            if bad.size:
+                i = bad[0]
+                raise AssertionError(f"2 nu <= nu2 <= 3 nu fails at mask {masks[i]}: "
+                                     f"nu = {nu[i]}, nu2 = {nu2[i]}")
     for key, folds in filters.items():
         hit = masks[_select(key, inv)]
         for fold in folds:

@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from fracmatch.graphs import Graph
-
 
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240901)
-
-
-def random_graph(rnd: random.Random, n: int) -> Graph:
-    m = n * (n - 1) // 2
-    return Graph.from_edge_mask(n, rnd.getrandbits(m))
 
 
 @pytest.fixture(scope="session")

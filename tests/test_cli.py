@@ -226,6 +226,14 @@ def test_convexity_empty_s2_range_exits_2(capsys):
     assert code == 2 and not out and "error" in err
 
 
+@pytest.mark.parametrize("family,lo,hi", [("lemma27", "4", "5"), ("lemma23", "0", "2")])
+def test_convexity_sweep_without_points_exits_2(capsys, family, lo, hi):
+    # a non-empty s2 range whose every s2 has no interior t certifies nothing
+    code, out, err = run(capsys, ["convexity", "--family", family,
+                                  "--s2-min", lo, "--s2-max", hi])
+    assert code == 2 and not out and "no points" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 @pytest.mark.parametrize("command", ["verify", "batch"])
 def test_nonpositive_jobs_exit_2(capsys, tmp_path, command, jobs):
@@ -435,6 +443,24 @@ def test_wrong_vector_matching_number_fails_the_spot_check(capsys, monkeypatch):
                                   "--jobs", "1"])
     assert code == 4 and out == ""
     assert "internal check failed" in err and "spot check" in err
+    assert "Traceback" not in err
+
+
+def test_nu_outside_nu_star_window_exits_4(capsys, monkeypatch, tmp_path):
+    # a chunk that computes nu and nu2 checks 2 nu <= nu2 <= 3 nu on every
+    # mask; mask 1 (one edge, nu2 2) lies outside the n = 6 stride-128 sample
+    import fracmatch.verifier as V
+
+    vector = V.matching_numbers
+    monkeypatch.setattr(V, "matching_numbers", lambda n, masks: vector(n, masks) - (masks == 1))
+    config = tmp_path / "specs.json"
+    config.write_text(json.dumps([
+        {"theorem": "1.1", "n": 6, "k": 2},
+        {"theorem": "1.6", "n": 6, "s2": 4, "delta": 1, "motif": "clique:2"},
+    ]))
+    code, out, err = run(capsys, ["batch", "--config", str(config), "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "2 nu <= nu2 <= 3 nu" in err
     assert "Traceback" not in err
 
 

@@ -15,7 +15,7 @@ from fracmatch.corpus import (
 )
 from fracmatch.graphs import Graph, Graph6Error, are_isomorphic, from_graph6, relabel
 
-from conftest import random_graph
+from random_graphs import random_graph
 
 
 @given(st.data())

@@ -21,7 +21,7 @@ from fracmatch.graphs import (
     relabel,
 )
 
-from conftest import random_graph
+from random_graphs import random_graph
 
 MOTIFS = [Clique(2), Clique(3), Clique(4), Clique(5),
           Biclique(1, 1), Biclique(1, 2), Biclique(1, 3),

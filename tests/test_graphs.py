@@ -23,7 +23,7 @@ from fracmatch.graphs import (
     to_graph6,
 )
 
-from conftest import random_graph
+from random_graphs import random_graph
 
 
 def graph6_mask_by_strings(text: str) -> tuple[int, int]:

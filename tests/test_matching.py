@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fracmatch.graphs import (
@@ -26,7 +27,7 @@ from fracmatch.matching import (
     nu_star_fast,
 )
 
-from conftest import random_graph
+from random_graphs import random_graph
 
 
 def deficiency_by_gray_walk(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
@@ -307,3 +308,39 @@ class TestMatchingWithoutSkipBranch:
             for _ in range(30):
                 g = random_graph(rng, n)
                 assert matching_number(g) == matching_by_two_branches(g)
+
+
+class TestDoubleCoverBeyondTwelve:
+    """The double-cover matching at n = 13..64, where neither the exhaustive
+    labeled tests nor the spot checks reach, on seeded graphs of three edge
+    densities; every graph's certificate is checked too."""
+
+    @staticmethod
+    def graphs(n_range, per_density):
+        rng = random.Random(13)
+        for n in n_range:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for p in (0.1, 0.3, 0.6):
+                for _ in range(per_density):
+                    yield Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+
+    def test_equals_deficiency_n13_to_16(self):
+        for g in self.graphs(range(13, 17), 2):
+            fast = nu_star_fast(g).doubled
+            assert fast == nu_star_deficiency(g)[0].doubled
+            assert check_certificate(g) == fast
+
+    def test_equals_lp_relaxation_n17_to_64(self):
+        from scipy.optimize import linprog
+
+        for g in self.graphs(range(17, 65), 1):
+            edges = g.edges()
+            incidence = np.zeros((g.n, len(edges)))
+            for j, e in enumerate(edges):
+                incidence[list(e), j] = 1.0
+            res = linprog(c=-np.ones(len(edges)), A_ub=incidence, b_ub=np.ones(g.n),
+                          bounds=(0.0, 1.0), method="highs")
+            assert res.status == 0
+            fast = nu_star_fast(g).doubled
+            assert abs(-2.0 * res.fun - fast) < 1e-7
+            assert check_certificate(g) == fast
