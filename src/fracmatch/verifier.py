@@ -1,12 +1,14 @@
 """Exhaustive small-graph verification of the extremal bounds.
 
 A scan reads one of two sources as chunks of edge bitmasks: the native
-source covers every labeled graph on n vertices in fixed mask ranges, and
-the graph6 stream source decodes a non-isomorphic corpus, one graph per
-line, straight to masks (all filter quantities are preserved by
-isomorphism, so class representatives are enough).  Every scan stops at
-MAX_SCAN_VERTICES; a VerifySpec is the question alone, valid at any n, and
-the worker count is an argument of the scan, not of the spec.
+source covers every labeled graph on n vertices as blocks of labeled graphs
+H on the first n - 1 vertices, each H under every neighbourhood X of the
+last vertex (mask (x << C(n - 1, 2)) | h), and the graph6 stream source
+decodes a non-isomorphic corpus, one graph per line, straight to masks
+(all filter quantities are preserved by isomorphism, so class
+representatives are enough).  Every scan stops at MAX_SCAN_VERTICES; a
+VerifySpec is the question alone, valid at any n, and the worker count is
+an argument of the scan, not of the spec.
 
 Every chunk of either source takes one path.  A filter is a key,
 ``VerifySpec.filter_key``: ("k", k), ("s2", s2, "d", d) or ("s2", s2,
@@ -36,12 +38,21 @@ The vectorized invariants are not the scalar algorithms: nu2 is the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
 S of (n - |S| + |N(S)|), and nu a perfect-matching DP over even vertex
 sets, both on byte-wide neighbour rows (``mask_invariants``,
-``matching_numbers``).  Every scan cross-validates them in the calling
-process: one mask in 4096, and at least 256 per scan (all of them in
-smaller scans), has the invariants its chunk computed re-derived through
-the scalar per-graph APIs (deficiency scan and double cover matching for
-nu*, degree stats, ``matching_number``), so a vectorization bug cannot
-slip through silently; a report's ``spot_checked`` says how many graphs
+``matching_numbers``, which the stream's chunks read).  A native chunk
+reads them off tables of its graphs H instead (``extension_invariants``),
+by two one-vertex identities, with U = V(H) - X and D(H) the vertices u
+with nu(H - u) = nu(H):
+
+    2 nu*(H + v) = min(2 nu*(H) + 2, 2|X| + 2 nu*(H[U]),
+                       1 + min over S of U of (n - 1 - |S| + |N_H(S)|)),
+    nu(H + v)    = nu(H) + [X meets D(H)],
+
+and deg(u) grows by one for u in X.  Every scan cross-validates both
+kernels in the calling process: one mask in 4096, and at least 256 per
+scan (all of them in smaller scans), has the invariants its chunk computed
+re-derived through the scalar per-graph APIs (deficiency scan and double
+cover matching for nu*, degree stats, ``matching_number``), so a
+vectorization bug cannot slip through silently; a report's ``spot_checked`` says how many graphs
 its scan re-checked.  A chunk that computes both nu and nu2 also checks
 2 nu <= nu2 <= 3 nu (nu <= nu* <= 3 nu / 2) on every graph.  Likewise
 each report's first witness, and a nonexistence scan's first
@@ -52,6 +63,7 @@ filter and hold exactly the observed maximum of motif copies
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -202,6 +214,124 @@ def matching_numbers(n: int, masks: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _over_subsets(op: np.ufunc, first: int, rows: np.ndarray) -> np.ndarray:
+    """table[S] = op over u in S of rows[u], table[{}] = first, for every
+    subset S of range(len(rows)), S as a bit set: one op per S, from
+    S - {min S}."""
+    table = np.empty((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    table[0] = first
+    for S in range(1, len(table)):
+        low = S & -S
+        op(table[S ^ low], rows[low.bit_length() - 1], out=table[S])
+    return table
+
+
+@functools.cache
+def _subset_pairs(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each U of range(m): its subsets S, and 2m - |U| - |S| for each,
+    as a column; the 3^m pairs S of U."""
+    pairs = []
+    for U in range(1 << m):
+        subs, S = [], U
+        while True:
+            subs.append(S)
+            if not S:
+                break
+            S = (S - 1) & U
+        bias = [[2 * m - U.bit_count() - S.bit_count()] for S in subs]
+        pairs.append((np.array(subs, dtype=np.intp), np.array(bias, dtype=np.uint8)))
+    return pairs
+
+
+def extension_invariants(n: int, hs: range, names) -> dict[str, np.ndarray]:
+    """The invariants ``names`` ("nu", or "nu2" with "mind" and "maxd") of
+    every graph G = H + v of a native chunk: H one of the masks ``hs`` on
+    the m = n - 1 vertices 0 .. m - 1, and v = m joined to each X of them,
+    so mask (x << C(m, 2)) | h, in x-major order (see ``_as_masks``).
+
+    Tables are built once per H, over its 2^m subsets, and each graph is
+    then read off them with U = V(H) - X:
+
+        2 nu*(G) = min(2 nu*(H) + 2, 2|X| + 2 nu*(H[U]),
+                       1 + min over S of U of val(S)),
+        val(S)   = m - |S| + |N_H(S)|,  2 nu*(H) = min over all S of val(S);
+
+        nu(G)    = nu(H) + [X meets D(H)],  D(H) = {u : nu(H - u) = nu(H)};
+
+        deg_G(u) = deg_H(u) + [u in X],  deg_G(v) = |X|.
+
+    Proof.  By König–Ore on the double cover (``mask_invariants``),
+    2 nu*(G) = min over S of V(G) of n - |S| + |N_G(S)|, and every S gives
+    an upper bound.  So do the three terms: 2 nu*(H) + 2, because the edges
+    at v carry at most weight 1 of a fractional matching; S' + v with S' of
+    U, as N_G(S' + v) = (N_H(S') & U) + X gives the value 2|X| + |U| - |S'|
+    + |N_H(S') & U|, whose minimum over S' is 2|X| + 2 nu*(H[U]); and a set
+    S of U, where v gains no neighbour, with value 1 + val(S).  Conversely,
+    some minimizing S is independent: for a deficiency set T, the isolated
+    vertices I of G - T have N(I) in T, so n - |I| + |N(I)| <=
+    n - (i(G - T) - |T|) = 2 nu*(G).
+    An independent S holding v avoids X, so it is some S' + v of the second
+    term; one without v lies in U (the third term) or meets X, and then has
+    value val(S) + 2 >= 2 nu*(H) + 2.  For nu, G has at most one matching
+    edge at v, so nu(H) <= nu(G) <= nu(H) + 1.  If u in X lies in D(H), a
+    maximum matching of H - u and the edge vu give nu(H) + 1.  If nu(G) =
+    nu(H) + 1, a maximum matching of G uses some edge vu (otherwise it lies
+    in H), and without vu it is a matching of H - u of size nu(H).
+
+    The per-H tables are N_H(S) and val(S) (with its minimum over subsets)
+    for every S, 2 nu*(H[U]) for every U from the 3^m pairs S of U, and
+    min/max over u in X of deg_H(u); nu(H) and nu(H - u) come from
+    ``matching_numbers`` at m vertices, H - u as H without u's edges.  No
+    table holds more than one byte per graph of the chunk."""
+    m = n - 1
+    block = np.arange(hs.start, hs.stop, dtype=MASK_DTYPE)
+    xs = np.arange(1 << m, dtype=np.uint8)
+    size = np.bitwise_count(xs)[:, None]  # |X|
+    inv = {}
+    if "nu" in names:
+        edges = (1 << m * (m - 1) // 2) - 1
+        stars = [sum(1 << pair_index(u, w) for w in range(m) if w != u) for u in range(m)]
+        nus = matching_numbers(m, np.concatenate(
+            [block] + [block & MASK_DTYPE(edges ^ star) for star in stars])).reshape(m + 1, -1)
+        tight = np.zeros(len(block), dtype=np.uint8)  # D(H) as a bit set
+        for u in range(m):
+            tight |= (nus[u + 1] == nus[0]).view(np.uint8) << u
+        inv["nu"] = (nus[0] + (xs[:, None] & tight).astype(bool)).ravel()
+    if "nu2" in names:
+        (_, _, rows), = _neighbour_rows(m, block)  # a chunk holds <= _BLOCK graphs H
+        nbr = _over_subsets(np.bitwise_or, 0, rows)  # N_H(S)
+        val = np.bitwise_count(nbr)
+        val += m - size
+        for i in range(m):  # minimum over the subsets of U, one bit at a time
+            half = val.reshape(-1, 2, 1 << i, len(block))
+            np.minimum(half[:, 1], half[:, 0], out=half[:, 1])
+        best = val + np.uint8(1)  # the third term, then the second, by U
+        buf = np.empty_like(nbr)
+        for U, (subs, bias) in enumerate(_subset_pairs(m)):
+            t = buf[:len(subs)]
+            np.take(nbr, subs, axis=0, out=t)
+            np.bitwise_and(t, np.uint8(U), out=t)
+            np.bitwise_count(t, out=t)
+            np.add(t, bias, out=t)
+            np.minimum(best[U], t.min(axis=0), out=best[U])
+        del nbr, buf
+        # U = V(H) - X runs backwards as X runs forwards
+        inv["nu2"] = np.minimum(best[::-1], val[-1] + np.uint8(2)).ravel()
+        del val, best
+        deg = np.bitwise_count(rows)
+        # min and max over u in X of deg_H(u); lo + 1 is 255 at X = {}, above any degree
+        lo = _over_subsets(np.minimum, 254, deg)
+        hi = _over_subsets(np.maximum, 0, deg)
+        mind = np.minimum(lo + np.uint8(1), lo[::-1])  # u in X, u outside X
+        np.minimum(mind, size, out=mind)  # v
+        inside = hi + np.uint8(1)
+        inside[0] = 0
+        maxd = np.maximum(inside, hi[::-1])
+        np.maximum(maxd, size, out=maxd)
+        inv.update(mind=mind.ravel(), maxd=maxd.ravel())
+    return inv
+
+
 def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     """Does each mask contain k disjoint edges; no scan calls this view,
     but the bench harness traces its name."""
@@ -276,11 +406,17 @@ def _check_source(n: int | None, source: str, corpus: str | Path | None) -> None
 
 
 def _native_chunks(n: int):
-    """The labeled masks 0 .. 2^C(n,2) - 1 as ranges of 2^_CHUNK_BITS, which
-    stay cheap to send to a worker."""
-    total, step = 1 << (n * (n - 1) // 2), 1 << _CHUNK_BITS
-    for lo in range(0, total, step):
-        yield range(lo, min(lo + step, total)), lo, total
+    """The labeled graphs on n vertices as ranges of graphs H on the first
+    n - 1 vertices: each H stands for H + v under every neighbourhood of
+    v = n - 1 (see ``extension_invariants``).  A chunk holds up to
+    2^(_CHUNK_BITS - n + 1) of them, at least one, so 2^_CHUNK_BITS masks
+    when there are enough, stays cheap to send to a worker, and starts at
+    entry ``lo << (n - 1)`` of the scan."""
+    m = n - 1
+    edges = m * (m - 1) // 2
+    step = 1 << min(edges, max(0, _CHUNK_BITS - m))
+    for lo in range(0, 1 << edges, step):
+        yield range(lo, min(lo + step, 1 << edges)), lo << m, 1 << (edges + m)
 
 
 def load_stream(path: str | Path, n: int):
@@ -309,19 +445,23 @@ def load_stream(path: str | Path, n: int):
         start += chunk.size
 
 
-def _as_masks(chunk: range | np.ndarray) -> np.ndarray:
-    """A chunk's masks; a native range becomes an array where it is folded."""
-    return np.arange(chunk.start, chunk.stop, dtype=MASK_DTYPE) \
-        if isinstance(chunk, range) else chunk
+def _as_masks(n: int, chunk: range | np.ndarray) -> np.ndarray:
+    """A chunk's masks; a native range of graphs H becomes
+    (x << C(n - 1, 2)) | h for every neighbourhood x of vertex n - 1 and
+    every h of the range, x-major, where it is folded."""
+    if not isinstance(chunk, range):
+        return chunk
+    m = n - 1
+    xs = np.arange(1 << m, dtype=MASK_DTYPE) << MASK_DTYPE(m * (m - 1) // 2)
+    return (xs[:, None] | np.arange(chunk.start, chunk.stop, dtype=MASK_DTYPE)).ravel()
 
 
 def native_invariants(n: int):
     """(masks, invariants) for each chunk of the 2^C(n,2) labeled graphs, in
-    mask order, computed here without folds or spot check: a serial view of
+    scan order, computed here without folds or spot check: a serial view of
     the native source for callers that time the invariants alone."""
     for chunk, _, _ in _native_chunks(n):
-        masks = _as_masks(chunk)
-        yield masks, mask_invariants(n, masks)
+        yield _as_masks(n, chunk), extension_invariants(n, chunk, _KEY_INVARIANTS["s2"])
 
 
 def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
@@ -609,18 +749,21 @@ def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple]:
     stride at most SPOT_CHECK_STRIDE and small enough to check at least
     min(total, SPOT_CHECK_FLOOR) entries."""
     n, chunk, start, total, filters = task
-    masks = _as_masks(chunk)
+    masks = _as_masks(n, chunk)
     names = {name for key in filters for name in _KEY_INVARIANTS[key[0]]}
-    inv = mask_invariants(n, masks) if "nu2" in names else {}
-    if "nu" in names:
-        inv["nu"] = matching_numbers(n, masks)
-        if "nu2" in names:  # nu <= nu* <= 3 nu / 2 on every graph
-            nu, nu2 = inv["nu"], inv["nu2"]
-            bad = np.flatnonzero((nu2 < 2 * nu) | (nu2 > 3 * nu))
-            if bad.size:
-                i = bad[0]
-                raise AssertionError(f"2 nu <= nu2 <= 3 nu fails at mask {masks[i]}: "
-                                     f"nu = {nu[i]}, nu2 = {nu2[i]}")
+    if isinstance(chunk, range):
+        inv = extension_invariants(n, chunk, names)
+    else:
+        inv = mask_invariants(n, masks) if "nu2" in names else {}
+        if "nu" in names:
+            inv["nu"] = matching_numbers(n, masks)
+    if "nu" in names and "nu2" in names:  # nu <= nu* <= 3 nu / 2 on every graph
+        nu, nu2 = inv["nu"], inv["nu2"]
+        bad = np.flatnonzero((nu2 < 2 * nu) | (nu2 > 3 * nu))
+        if bad.size:
+            i = bad[0]
+            raise AssertionError(f"2 nu <= nu2 <= 3 nu fails at mask {masks[i]}: "
+                                 f"nu = {nu[i]}, nu2 = {nu2[i]}")
     for key, folds in filters.items():
         hit = masks[_select(key, inv)]
         for fold in folds:

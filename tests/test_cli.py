@@ -369,25 +369,54 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def doctor_native(monkeypatch, name, mask, value):
+    """Make the native scan's kernel report ``value`` for invariant ``name``
+    at edge mask ``mask``."""
+    import fracmatch.verifier as V
+
+    kernel = V.extension_invariants
+
+    def doctored(n, hs, names):
+        inv = kernel(n, hs, names)
+        if name in inv:
+            inv[name][V._as_masks(n, hs) == mask] = value
+        return inv
+
+    monkeypatch.setattr(V, "extension_invariants", doctored)
+
+
 def test_wrong_vector_counterexample_exits_4(capsys, monkeypatch):
     # a doctored nu2 outside the spot-check sample would report a
     # counterexample (exit 1); re-deriving it through the scalar APIs
     # catches it
-    import fracmatch.verifier as V
-
-    k6 = (1 << 15) - 1  # nu2 6; the n = 6 sample is every 128th mask
-    vector = V.mask_invariants
-
-    def doctored(n, masks):
-        inv = vector(n, masks)
-        inv["nu2"][masks == k6] = 5
-        return inv
-
-    monkeypatch.setattr(V, "mask_invariants", doctored)
+    k6 = (1 << 15) - 1  # nu2 6, the last of the scan; the n = 6 sample is every 128th
+    doctor_native(monkeypatch, "nu2", k6, 5)
     code, out, err = run(capsys, ["verify", "--nonexistence", "--n", "6", "--s2", "5",
                                   "--delta", "2", "--jobs", "1"])
     assert code == 4 and out == ""
     assert "internal check failed" in err and "counterexample E~~w" in err
+    assert "Traceback" not in err
+
+
+def test_wrong_stream_vector_counterexample_exits_4(capsys, monkeypatch, corpus8):
+    # the same on the graph6 stream, whose chunks go through mask_invariants:
+    # K_8 is the last of 12,346 lines (index 12,345), off the stride-48 sample
+    import fracmatch.verifier as V
+
+    k8 = (1 << 28) - 1
+    vector = V.mask_invariants
+
+    def doctored(n, masks):
+        inv = vector(n, masks)
+        inv["nu2"][masks == k8] = 7
+        return inv
+
+    monkeypatch.setattr(V, "mask_invariants", doctored)
+    code, out, err = run(capsys, ["verify", "--nonexistence", "--n", "8", "--s2", "7",
+                                  "--delta", "3", "--source", "graph6-stream",
+                                  "--corpus", str(corpus8), "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "counterexample G~~~~{" in err
     assert "Traceback" not in err
 
 
@@ -412,33 +441,30 @@ def test_parity_check_failure_exits_4(capsys, monkeypatch, tmp_path, target, arg
 @pytest.mark.parametrize("target, argv", [
     ("count_motif_vector", ["--theorem", "1.6", "--n", "5", "--s2", "4", "--delta", "1",
                             "--motif", "clique:2"]),
-    ("matching_numbers", ["--theorem", "1.1", "--n", "6", "--k", "2"]),
+    ("extension_invariants", ["--theorem", "1.1", "--n", "6", "--k", "2"]),
 ])
 def test_wrong_vector_witness_exits_4(capsys, monkeypatch, target, argv):
     # a miscounted or misfiltered scan would report bound-violated (exit 1);
     # re-deriving the first witness through the scalar APIs catches it
     import fracmatch.verifier as V
 
-    vector = getattr(V, target)
     if target == "count_motif_vector":
+        vector = V.count_motif_vector
         monkeypatch.setattr(V, target, lambda n, masks, motif: vector(n, masks, motif) + 1)
     else:
-        # K_6 (nu 3, 15 edges) passes as nu 2; the n = 6 spot-check sample
-        # is every 128th mask, which misses it
-        k6 = (1 << 15) - 1
-        monkeypatch.setattr(V, target, lambda n, masks: vector(n, masks) - (masks == k6))
+        # K_6 (nu 3, 15 edges) passes as nu 2; it is the last mask of the
+        # n = 6 scan, and the spot-check sample is every 128th, which misses it
+        doctor_native(monkeypatch, "nu", (1 << 15) - 1, 2)
     code, out, err = run(capsys, ["verify"] + argv + ["--jobs", "1"])
     assert code == 4 and out == ""
     assert "internal check failed" in err and "witness" in err
 
 
 def test_wrong_vector_matching_number_fails_the_spot_check(capsys, monkeypatch):
-    # mask 0 is always in the sample and never the witness of k = 2, so
-    # only the spot check of nu can catch a DP that is off there
-    import fracmatch.verifier as V
-
-    vector = V.matching_numbers
-    monkeypatch.setattr(V, "matching_numbers", lambda n, masks: vector(n, masks) + (masks == 0))
+    # mask 0 is always in the sample (the first of the scan) and never the
+    # witness of k = 2, so only the spot check of nu can catch a kernel that
+    # is off there
+    doctor_native(monkeypatch, "nu", 0, 1)
     code, out, err = run(capsys, ["verify", "--theorem", "1.1", "--n", "6", "--k", "2",
                                   "--jobs", "1"])
     assert code == 4 and out == ""
@@ -448,11 +474,9 @@ def test_wrong_vector_matching_number_fails_the_spot_check(capsys, monkeypatch):
 
 def test_nu_outside_nu_star_window_exits_4(capsys, monkeypatch, tmp_path):
     # a chunk that computes nu and nu2 checks 2 nu <= nu2 <= 3 nu on every
-    # mask; mask 1 (one edge, nu2 2) lies outside the n = 6 stride-128 sample
-    import fracmatch.verifier as V
-
-    vector = V.matching_numbers
-    monkeypatch.setattr(V, "matching_numbers", lambda n, masks: vector(n, masks) - (masks == 1))
+    # mask; mask 1 (one edge, nu2 2) is entry 1 of the scan, outside the
+    # n = 6 stride-128 sample
+    doctor_native(monkeypatch, "nu", 1, 0)
     config = tmp_path / "specs.json"
     config.write_text(json.dumps([
         {"theorem": "1.1", "n": 6, "k": 2},

@@ -26,6 +26,7 @@ from fracmatch.verifier import (
     VerifySpec,
     clear_caches,
     count_motif_vector,
+    extension_invariants,
     mask_invariants,
     matching_number_at_least,
     matching_numbers,
@@ -492,6 +493,97 @@ def test_mask_invariants_rejects_wide_graphs():
         mask_invariants(9, np.zeros(1, dtype=np.uint64))
 
 
+ALL_INVARIANTS = {"nu", "nu2", "mind", "maxd"}
+
+
+def assert_extension_equals_mask_kernels(n, chunk):
+    """The native kernel on one chunk equals the graph6 stream's kernels on
+    the same masks; returns the masks."""
+    import fracmatch.verifier as V
+
+    masks = V._as_masks(n, chunk)
+    got = extension_invariants(n, chunk, ALL_INVARIANTS)
+    want = mask_invariants(n, masks)
+    want["nu"] = matching_numbers(n, masks)
+    assert got.keys() == want.keys()
+    for key, values in want.items():
+        assert got[key].dtype == np.uint8 and np.array_equal(got[key], values), (n, chunk, key)
+    return masks
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("bits", [19, 0], ids=["default-chunks", "one-H-per-chunk"])
+def test_extension_invariants_every_labeled_graph(n, bits, monkeypatch, rng):
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_CHUNK_BITS", bits)
+    chunks = list(V._native_chunks(n))
+    total = 1 << (n * (n - 1) // 2)
+    starts = [start for _, start, _ in chunks]
+    assert {t for _, _, t in chunks} == {total}
+    # each chunk starts where the one before it ends, 2^(n - 1) masks per H
+    assert starts[0] == 0 and starts[1:] + [total] == [start + (len(chunk) << (n - 1))
+                                                        for chunk, start, _ in chunks]
+    if bits == 0:
+        assert all(len(chunk) == 1 for chunk, _, _ in chunks)
+    if n >= 6 and bits == 0:  # 1,024 and 32,768 graphs H: both ends and a seeded sample
+        chunks = [chunks[0], chunks[-1]] + rng.sample(chunks[1:-1], 96 if n == 6 else 32)
+    seen = np.concatenate([assert_extension_equals_mask_kernels(n, chunk)
+                           for chunk, _, _ in chunks])
+    if len(seen) == total:  # every labeled graph, once
+        assert np.array_equal(np.sort(seen), np.arange(total))
+
+
+def test_extension_invariants_first_middle_last_chunk_n8():
+    import fracmatch.verifier as V
+
+    chunks = list(V._native_chunks(8))
+    assert len(chunks) == 512 and all(len(c) << 7 == 1 << V._CHUNK_BITS for c, _, _ in chunks)
+    for chunk, _, _ in (chunks[0], chunks[len(chunks) // 2], chunks[-1]):
+        assert_extension_equals_mask_kernels(8, chunk)
+
+
+def delete_vertex(g, v):
+    """G - v on the vertices other than v, in order."""
+    keep = [u for u in range(g.n) if u != v]
+    return Graph.from_edges(g.n - 1, [(i, j) for i, j in itertools.combinations(range(g.n - 1), 2)
+                                      if g.has_edge(keep[i], keep[j])])
+
+
+def isolate(g, vertices):
+    """G without the edges at ``vertices``: G - X with X kept isolated."""
+    return Graph.from_edges(g.n, [(u, w) for u, w in g.edges()
+                                  if u not in vertices and w not in vertices])
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_one_vertex_extension_identities(data):
+    # both identities of extension_invariants, through the scalar APIs, for
+    # G = H + v at every vertex v, H = G - v and X = N(v)
+    n = data.draw(st.integers(2, 12))
+    g = Graph.from_edge_mask(n, data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    nu2, nu = nu_star_deficiency(g)[0].doubled, matching_number(g)
+    m = n - 1
+    for v in range(n):
+        h = delete_vertex(g, v)
+        X = {u - (u > v) for u in range(n) if u != v and g.has_edge(u, v)}
+        outside = sum(1 << u for u in X)
+        nbr = [0] * (1 << m)  # N_H(S), and val(S) = m - |S| + |N_H(S)| over S avoiding X
+        third = m
+        for S in range(1, 1 << m):
+            low = S & -S
+            nbr[S] = nbr[S ^ low] | sum(1 << w for w in range(m)
+                                        if h.has_edge(low.bit_length() - 1, w))
+            if not S & outside:
+                third = min(third, m - S.bit_count() + nbr[S].bit_count())
+        assert nu2 == min(nu_star_deficiency(h)[0].doubled + 2,
+                          2 * len(X) + nu_star_deficiency(isolate(h, X))[0].doubled,
+                          1 + third), (to_graph6(g), v)
+        tight = {u for u in range(m) if matching_number(isolate(h, {u})) == matching_number(h)}
+        assert nu == matching_number(h) + bool(X & tight), (to_graph6(g), v)
+
+
 # a filter key that reads the invariants and that no graph passes, with no
 # folds: a scan of it computes and spot-checks the invariants alone
 NO_GRAPHS = ("s2", 5, "at-least", 2)
@@ -607,7 +699,8 @@ def test_small_chunks_match_naive_reference(spec, monkeypatch):
         ties = [g.edge_mask() for g in naive_passing(spec)
                 if count_motif(g, spec.motif) == best]
         assert len(ties) > WITNESS_CAP
-        assert len({mask >> 6 for mask in ties}) > 1
+        # n = 5 chunks hold 4 graphs H (the low 6 bits) each, chunk index h >> 2
+        assert len({(mask & 63) >> 2 for mask in ties}) > 1
 
 
 def test_small_chunks_on_the_stream_source(monkeypatch, tmp_path):
@@ -646,7 +739,9 @@ def test_spot_check_sample_spans_the_whole_scan(source, monkeypatch, corpus8):
     monkeypatch.setattr(V, "nu_star_deficiency", counting)
     if source == "native":
         scanned, spot_checked = V._fold_scan(6, source, None, 1, {NO_GRAPHS: []})
-        masks = list(range(scanned))
+        # one graph H on 5 vertices per chunk, under 32 neighbourhoods of vertex 5
+        masks = [mask for chunk, _, _ in V._native_chunks(6)
+                 for mask in V._as_masks(6, chunk).tolist()]
     else:
         text = io.StringIO(corpus8.read_text())  # read once, like a pipe
         scanned, spot_checked = V._fold_scan(8, source, text, 1, {NO_GRAPHS: []})
