@@ -4,15 +4,15 @@ The canonical form of a graph is the minimum graph6 edge bitstring over a
 restricted but isomorphism-invariant family of vertex orderings: vertices
 are laid out cell by cell following the stable coloring of iterated degree
 refinement, with every ordering inside each cell explored under prefix
-pruning.  Equal canonical strings therefore mean isomorphic graphs and
-vice versa, which is what the corpus generator needs for exact
-deduplication.
+pruning.  A prefix is one int code with b_0 as its most significant bit,
+so prefixes of equal depth compare as ints.  Equal canonical strings mean
+isomorphic graphs and vice versa, which is what exact deduplication needs.
 
-Generation proceeds by vertex extension: every graph on n vertices arises
-from some graph on n - 1 vertices by adding one vertex with an arbitrary
-neighborhood, so extending a complete corpus and deduplicating canonically
-yields a complete corpus.  Known class counts (1, 2, 4, 11, 34, 156, 1044,
-12346 for n = 1..8) pin the output sizes in the tests.
+Generation proceeds by vertex extension: every graph on k vertices is some
+graph H on k - 1 vertices plus a vertex with neighborhood X, which in the
+``pair_index`` edge-mask layout (the native scans' layout) is one OR,
+``h | x << C(k - 1, 2)``.  Known class counts (1, 2, 4, 11, 34, 156, 1044,
+12346 for n = 1..8) pin the output sizes.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .graphs import Graph, Graph6Error, _bits, _refine_colors, from_graph6, pair_index, \
-    to_graph6
+from .graphs import Graph, Graph6Error, _refine_colors, from_graph6, to_graph6
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -35,70 +34,41 @@ def canonical_mask(g: Graph) -> int:
     means lexicographically smallest bitstring b_0 b_1 b_2 ..., i.e. the
     encoding graph6 sorts first.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     cells: dict[int, list[int]] = {}
     for v, color in enumerate(_refine_colors(g)):
         cells.setdefault(color, []).append(v)
-    pool: list[list[int]] = [cells[c] for c in sorted(cells)]
-    best: list[int] | None = None
+    # slots[k] = the refined cell that position k draws its vertex from
+    slots = [cells[c] for c in sorted(cells) for _ in cells[c]]
+    m = n * (n - 1) // 2
+    best: int | None = None
     order: list[int] = []
-    # rows[k] = edge bits contributed by order[k] against order[:k],
-    # packed little-endian as a (k-bit) int read b_0-first for comparison
-    rows: list[int] = []
 
-    def rec(cell_idx: int, used_in_cell: int) -> None:
+    def rec(k: int, placed: int, code: int) -> None:
         nonlocal best
-        k = len(order)
         if k == n:
-            cand = list(rows)
-            if best is None or cand < best:
-                best = cand
+            if best is None or code < best:
+                best = code
             return
-        cell = pool[cell_idx]
-        if used_in_cell == len(cell):
-            rec(cell_idx + 1, 0)
-            return
-        for i in range(len(cell)):
-            v = cell[i]
-            if v < 0:
+        # bits (0, k), (1, k), ..., (k - 1, k) follow the C(k, 2)-bit prefix
+        rest = m - (k + 1) * k // 2
+        for v in slots[k]:
+            if placed >> v & 1:
                 continue
-            row = 0
-            for col, w in enumerate(order):
-                if g.has_edge(v, w):
-                    row |= 1 << col
-            # bitstring comparison wants bit (0, k) most significant
-            key = _revbits(row, k)
-            rows.append(key)
-            # prune any prefix already beaten by the incumbent
-            if best is not None and rows > best[: k + 1]:
-                rows.pop()
+            nb = adj[v]
+            key = code
+            for w in order:
+                key = key << 1 | nb >> w & 1
+            # prune any prefix already beaten by the incumbent's
+            if best is not None and key > best >> rest:
                 continue
-            cell[i] = -1
             order.append(v)
-            rec(cell_idx, used_in_cell + 1)
-            rows.pop()
+            rec(k + 1, placed | 1 << v, key)
             order.pop()
-            cell[i] = v
-        return
 
-    rec(0, 0)
+    rec(0, 0, 0)
     assert best is not None
-    # rebuild an edge mask in pair_index layout from the row keys
-    mask = 0
-    for j in range(1, n):
-        key = best[j]
-        for i in range(j):
-            if key >> (j - 1 - i) & 1:
-                mask |= 1 << pair_index(i, j)
-    return mask
-
-
-def _revbits(x: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = out << 1 | (x & 1)
-        x >>= 1
-    return out
+    return int(f"{best:0{m}b}"[::-1], 2)
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -109,27 +79,23 @@ def nonisomorphic_graphs(n: int) -> list[str]:
     """Sorted canonical graph6 lines of every isomorphism class on n vertices."""
     if n < 1:
         raise ValueError("need n >= 1")
-    level = {canonical_graph6(Graph(1, (0,)))}
+    level = {0}
     for k in range(2, n + 1):
-        nxt: set[str] = set()
-        for line in level:
-            g = from_graph6(line)
-            base = list(g.adj) + [0]
-            for nb in range(1 << (k - 1)):
-                adj = list(base)
-                adj[k - 1] = nb
-                for u in _bits(nb):
-                    adj[u] |= 1 << (k - 1)
-                nxt.add(canonical_graph6(Graph(k, tuple(adj))))
-        level = nxt
-    return sorted(level)
+        base = (k - 1) * (k - 2) // 2
+        level = {canonical_mask(Graph.from_edge_mask(k, h | x << base))
+                 for h in level for x in range(1 << (k - 1))}
+    return sorted(to_graph6(Graph.from_edge_mask(n, h)) for h in level)
 
 
 def write_corpus(path: str | Path, n: int) -> int:
-    """Generate the n-vertex corpus file, one canonical graph6 line each."""
-    lines = nonisomorphic_graphs(n)
+    """Generate the n-vertex corpus file, one canonical graph6 line each;
+    only orders with a known class count, so that every file is checked."""
     expected = KNOWN_CLASS_COUNTS.get(n)
-    if expected is not None and len(lines) != expected:
+    if expected is None:
+        raise ValueError(f"gen-corpus checks its class count, known for "
+                         f"1 <= n <= {max(KNOWN_CLASS_COUNTS)} only; got n = {n}")
+    lines = nonisomorphic_graphs(n)
+    if len(lines) != expected:
         raise AssertionError(
             f"generated {len(lines)} classes for n = {n}, expected {expected}"
         )

@@ -71,10 +71,11 @@ class Graph:
         return out
 
     def edge_mask(self) -> int:
-        """Pack the upper triangle into one int, bit pair_index(i, j) per edge."""
+        """Pack the upper triangle into one int, bit pair_index(i, j) per edge
+        (the inverse of ``from_edge_mask``: row j's lower bits from C(j, 2))."""
         mask = 0
-        for i, j in self.edges():
-            mask |= 1 << pair_index(i, j)
+        for j, nb in enumerate(self.adj):
+            mask |= (nb & ((1 << j) - 1)) << (j * (j - 1) // 2)
         return mask
 
     @classmethod

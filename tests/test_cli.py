@@ -575,3 +575,12 @@ def test_gen_corpus_small(capsys, tmp_path):
     assert code == 0
     assert json.loads(stdout)["classes"] == 11
     assert len(out.read_text().strip().split("\n")) == 11
+
+
+@pytest.mark.parametrize("n", ["9", "0"])
+def test_gen_corpus_refuses_orders_it_cannot_check(capsys, tmp_path, n):
+    out = tmp_path / "unchecked.g6"
+    code, stdout, err = run(capsys, ["gen-corpus", "--n", n, "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert "n <= 8" in err and "Traceback" not in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Canonical forms and the non-isomorphic corpus generator."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,11 +10,21 @@ from hypothesis import strategies as st
 from fracmatch.corpus import (
     KNOWN_CLASS_COUNTS,
     canonical_graph6,
+    canonical_mask,
     nonisomorphic_graphs,
     read_graph6_stream,
     write_corpus,
 )
-from fracmatch.graphs import Graph, Graph6Error, are_isomorphic, from_graph6, relabel
+from fracmatch.graphs import (
+    Graph,
+    Graph6Error,
+    _refine_colors,
+    all_labeled_graphs,
+    are_isomorphic,
+    cycle_graph,
+    from_graph6,
+    relabel,
+)
 
 from random_graphs import random_graph
 
@@ -42,9 +53,47 @@ def test_canonical_separates_same_degree_sequence():
     assert canonical_graph6(c6) != canonical_graph6(two_triangles)
 
 
+def _brute_canonical_mask(g: Graph) -> int:
+    """Minimum bitstring over every ordering that lists the refined cells
+    in color order, each cell in any order; bit p of the mask is b_p."""
+    colors = _refine_colors(g)
+    cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    pairs = [(i, j) for j in range(g.n) for i in range(j)]
+    best = min(
+        "".join("1" if g.has_edge(order[i], order[j]) else "0" for i, j in pairs)
+        for order in (sum(perms, ()) for perms in
+                      itertools.product(*(itertools.permutations(c) for c in cells)))
+    )
+    return int(best[::-1] or "0", 2)
+
+
+def test_canonical_mask_equals_brute_force_small():
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            assert canonical_mask(g) == _brute_canonical_mask(g)
+    for n in range(3, 8):  # a single cell: every ordering is searched
+        assert canonical_mask(cycle_graph(n)) == _brute_canonical_mask(cycle_graph(n))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_canonical_mask_equals_brute_force_sampled(data):
+    n = data.draw(st.integers(6, 7))
+    mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    g = Graph.from_edge_mask(n, mask)
+    assert canonical_mask(g) == _brute_canonical_mask(g)
+
+
+# SHA-256 of the n = 7 corpus file (perfbench's corpus7_sha256)
+CORPUS7_SHA256 = "ad530e8b8c46fd74efe41d701d5ee6cef01b846a4e6d662ead3cfa7d9a0d2b7f"
+
+
 def test_class_counts_up_to_seven():
     for n in range(1, 8):
-        assert len(nonisomorphic_graphs(n)) == KNOWN_CLASS_COUNTS[n]
+        lines = nonisomorphic_graphs(n)
+        assert len(lines) == KNOWN_CLASS_COUNTS[n]
+    text = "\n".join(lines) + "\n"  # the n = 7 file, as write_corpus writes it
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS7_SHA256
 
 
 def _automorphism_count(g: Graph) -> int:
@@ -91,6 +140,7 @@ def test_shipped_corpus_is_canonical_and_complete(corpus8):
     lines = [ln.strip() for ln in open(corpus8) if ln.strip()]
     assert len(lines) == KNOWN_CLASS_COUNTS[8]
     assert len(set(lines)) == len(lines)
+    assert lines == sorted(lines)
     # spot-check canonicity on a deterministic sample; the acceptance suite
     # re-canonicalizes the whole file
     for line in lines[::500]:
