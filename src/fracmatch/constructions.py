@@ -1,24 +1,24 @@
 """Builders for the extremal graph G(n, s, t) and the two deletion families.
 
-G(n, s, t) is K_t joined to (K_{2s-2t} + empty graph on n + t - 2s
-vertices), with t - delta of the edges at one independent-part vertex u
-removed.  Vertex labels are fixed: dominating clique first (0..t-1), middle
-clique next, independent part last with u as the final vertex; the removed
-u-edges go to the lowest-indexed clique vertices.  This makes graph6 output
-reproducible across runs.
+Every construction here is the base join K_t joined to (K_{2s-2t} + empty
+graph on n + t - 2s vertices) with the edges at one vertex v trimmed until v
+has degree delta.  Vertex labels are fixed: dominating clique first
+(0..t-1), middle clique next, independent part last.  One layout table,
+``_family_layout``, names v and its neighbour counts per part: G(n, s, t)
+trims the last independent vertex u = n - 1, F1(t) the first middle-clique
+vertex and F2(t) the first dominating vertex.  One deletion rule,
+``_trimmed_edges``, removes v's lowest-indexed neighbours in each part, so
+graph6 output is reproducible across runs.
 
-The families F1(t) and F2(t) instead delete edges at a vertex v of the
-middle clique (F1) or of the dominating clique (F2), leaving v with degree
-delta.  Motif counts of a family member depend only on how many retained
-neighbors of v fall in each structural part, so maximizing over a family
-reduces to enumerating those retained splits; that symmetry claim is
-checked against literal deletion-set enumeration in the test suite.
+A member is fixed by its retained split: how many neighbours v keeps in
+each part.  Motif counts of a family member depend only on that split, so
+maximizing over a family reduces to enumerating splits; that symmetry claim
+is checked against literal deletion-set enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .counting import Motif, count_motif
@@ -37,34 +37,19 @@ def _base_join(p: ExtremalParams) -> Graph:
     return join(complete_graph(p.t), inner)
 
 
-def build_extremal(p: ExtremalParams) -> Graph:
-    """The extremal graph G(n, s, t) with t - delta edges removed at u = n - 1."""
-    g = _base_join(p)
-    u = p.n - 1
-    removed = [(i, u) for i in range(p.t - p.delta)]
-    return delete_edges(g, removed)
-
-
-def describe_extremal(p: ExtremalParams) -> dict:
-    """Part sizes and deletion list of build_extremal(p), JSON-friendly."""
-    u = p.n - 1
-    return {
-        "n": p.n,
-        "s2": p.s2,
-        "t": p.t,
-        "delta": p.delta,
-        "clique_part": list(range(p.t)),
-        "middle_clique": list(range(p.t, p.t + p.middle_size)),
-        "independent_part": list(range(p.t + p.middle_size, p.n)),
-        "u": u,
-        "deleted_edges": [[i, u] for i in range(p.t - p.delta)],
-    }
+def _parts(p: ExtremalParams) -> tuple[range, range, range]:
+    """Vertices of the dominating clique, the middle clique and the
+    independent part of the base join."""
+    mid_hi = p.t + p.middle_size
+    return range(p.t), range(p.t, mid_hi), range(mid_hi, p.n)
 
 
 def _family_layout(family: str, p: ExtremalParams) -> tuple[int, tuple[int, int, int]]:
-    """The family's degree-delta vertex v, the lowest-indexed vertex of its
-    part, and how many neighbors v has in (dominating clique, middle clique,
-    independent part) of the base join: the caps of a retained split."""
+    """The construction's degree-delta vertex v and how many neighbours v
+    has in (dominating clique, middle clique, independent part) of the base
+    join: the caps of a retained split."""
+    if family == "G":  # v = u, the last independent vertex, sees the dominating clique
+        return p.n - 1, (p.t, 0, 0)
     if family == "F1":  # v in the middle clique, not adjacent to the independent part
         if p.middle_size < 2:
             raise ValueError("F1 needs a nonempty middle clique (t <= s - 1)")
@@ -74,71 +59,65 @@ def _family_layout(family: str, p: ExtremalParams) -> tuple[int, tuple[int, int,
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One member of F1(t) or F2(t), identified by its retained split.
-
-    ``retained_split`` lists how many neighbors the degree-delta vertex v
-    keeps in (dominating clique, middle clique, independent part), each at
-    most its cap in ``_family_layout``.
-    """
-
-    family: str  # "F1" | "F2"
-    params: ExtremalParams
-    retained_split: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        _, caps = _family_layout(self.family, self.params)
-        if len(self.retained_split) != 3 or min(self.retained_split) < 0:
-            raise ValueError(f"split {self.retained_split} needs three nonnegative entries")
-        if sum(self.retained_split) != self.params.delta:
-            raise ValueError(f"split {self.retained_split} must sum to "
-                             f"delta = {self.params.delta}")
-        if any(keep > cap for keep, cap in zip(self.retained_split, caps)):
-            raise ValueError(f"split {self.retained_split} exceeds part sizes {caps}")
-
-
-def build_family_member(spec: FamilySpec) -> Graph:
-    """Base join with v's edges trimmed to realize the retained split.
-
-    Deterministic rule: within each part the retained neighbors are the
-    highest-indexed ones, mirroring build_extremal's deletion order.
-    """
-    p = spec.params
-    base = _base_join(p)
-    v, _ = _family_layout(spec.family, p)
-    mid_lo, mid_hi = p.t, p.t + p.middle_size
-    parts = [
-        [w for w in range(0, p.t) if w != v],
-        [w for w in range(mid_lo, mid_hi) if w != v],
-        list(range(mid_hi, p.n)),
-    ]
+def _trimmed_edges(family: str, p: ExtremalParams,
+                   split: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """The base-join edges (w, v) that trimming v to the retained split
+    deletes: in each part, v's lowest-indexed neighbours, so v keeps the
+    highest-indexed ones.  v's neighbours in a part are the whole part but v
+    where the cap is nonzero, and none where it is 0, so the cap - keep
+    lowest vertices of the part other than v are the ones to cut."""
+    v, caps = _family_layout(family, p)
+    if len(split) != 3 or min(split) < 0:
+        raise ValueError(f"split {split} needs three nonnegative entries")
+    if sum(split) != p.delta:
+        raise ValueError(f"split {split} must sum to delta = {p.delta}")
+    if any(keep > cap for keep, cap in zip(split, caps)):
+        raise ValueError(f"split {split} exceeds part sizes {caps}")
     removed = []
-    for keep, members in zip(spec.retained_split, parts):
-        neighbors = [w for w in members if base.has_edge(v, w)]
-        drop = len(neighbors) - keep
-        if drop < 0:
-            raise ValueError(f"split {spec.retained_split} exceeds available neighbors")
-        removed += [(v, w) for w in neighbors[:drop]]
-    return delete_edges(base, removed)
+    for keep, cap, part in zip(split, caps, _parts(p)):
+        removed += [(w, v) for w in part if w != v][:cap - keep]
+    return removed
 
 
-def family_splits(family: str, p: ExtremalParams):
+def build_family_member(family: str, p: ExtremalParams,
+                        split: tuple[int, int, int]) -> Graph:
+    """The base join with v's edges trimmed to the retained split."""
+    return delete_edges(_base_join(p), _trimmed_edges(family, p, split))
+
+
+def build_extremal(p: ExtremalParams) -> Graph:
+    """The extremal graph G(n, s, t): t - delta edges removed at u = n - 1."""
+    return build_family_member("G", p, (p.delta, 0, 0))
+
+
+def describe_extremal(p: ExtremalParams) -> dict:
+    """Part sizes and deletion list of build_extremal(p), JSON-friendly."""
+    clique, middle, independent = _parts(p)
+    return {
+        "n": p.n,
+        "s2": p.s2,
+        "t": p.t,
+        "delta": p.delta,
+        "clique_part": list(clique),
+        "middle_clique": list(middle),
+        "independent_part": list(independent),
+        "u": p.n - 1,
+        "deleted_edges": [list(e) for e in _trimmed_edges("G", p, (p.delta, 0, 0))],
+    }
+
+
+def family_splits(family: str, p: ExtremalParams) -> list[tuple[int, int, int]]:
     """All valid retained splits for the family, lexicographic order."""
     _, caps = _family_layout(family, p)
-    for a in range(min(caps[0], p.delta) + 1):
-        for b in range(min(caps[1], p.delta - a) + 1):
-            c = p.delta - a - b
-            if c <= caps[2]:
-                yield (a, b, c)
+    ranges = [range(min(cap, p.delta) + 1) for cap in caps]
+    return [split for split in itertools.product(*ranges) if sum(split) == p.delta]
 
 
 def family_max_count(family: str, p: ExtremalParams, motif: Motif) -> int:
     """Exact maximum motif count over the family, by split enumeration."""
     best = -1
     for split in family_splits(family, p):
-        member = build_family_member(FamilySpec(family, p, split))
-        best = max(best, count_motif(member, motif))
+        best = max(best, count_motif(build_family_member(family, p, split), motif))
     if best < 0:
         raise ValueError(f"family {family} is empty for {p}")
     return best

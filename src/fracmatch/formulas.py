@@ -34,6 +34,12 @@ def feasible_t_max(s2: int) -> int:
     return s2 // 2 if s2 % 2 == 0 else (s2 - 3) // 2
 
 
+def check_order(n: int, s2: int) -> None:
+    """The standing hypothesis n >= 2s + 1 >= 5 of the nu* theorems."""
+    if s2 < 4 or n < s2 + 1:
+        raise ValueError(f"(n, s2) = ({n}, {s2}) outside n >= 2s + 1 >= 5")
+
+
 @dataclass(frozen=True)
 class ExtremalParams:
     """Parameters (n, s = s2/2, t, delta) of the construction G(n, s, t)."""
@@ -44,10 +50,7 @@ class ExtremalParams:
     delta: int
 
     def __post_init__(self) -> None:
-        if self.s2 < 4:
-            raise ValueError(f"s2 = {self.s2} < 4 (need 2s + 1 >= 5)")
-        if self.n < self.s2 + 1:
-            raise ValueError(f"n = {self.n} < {self.s2 + 1} (need n >= 2s + 1)")
+        check_order(self.n, self.s2)
         if not 1 <= self.delta <= self.t:
             raise ValueError(f"delta = {self.delta} outside 1..t = {self.t}")
         if self.t > feasible_t_max(self.s2):
@@ -99,9 +102,8 @@ def g_biclique(p: ExtremalParams, r1: int, r2: int) -> int:
 
 def _check_bound_params(n: int, s2: int, delta: int) -> int:
     """Shared hypothesis check; returns the top candidate t."""
+    check_order(n, s2)
     t_hi = feasible_t_max(s2)
-    if s2 < 4 or n < s2 + 1:
-        raise ValueError(f"(n, s2) = ({n}, {s2}) outside n >= 2s + 1 >= 5")
     if not 1 <= delta <= t_hi:
         raise ValueError(f"delta = {delta} outside 1..{t_hi} for s2 = {s2}")
     return t_hi
@@ -128,8 +130,7 @@ def extremal_candidates(n: int, s2: int, delta: int,
 def bound_edges_min_degree_one(n: int, s2: int) -> int:
     """Maximum size of an n-vertex graph with nu* = s2/2 and minimum degree
     at least one."""
-    if s2 < 4 or n < s2 + 1:
-        raise ValueError(f"(n, s2) = ({n}, {s2}) outside n >= 2s + 1 >= 5")
+    check_order(n, s2)
     first = binom(s2 - 2, 2) + n - 1
     if s2 % 2 == 0:
         s = s2 // 2

@@ -190,16 +190,10 @@ def to_graph6(g: Graph) -> str:
     else:
         head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
     m = n * (n - 1) // 2
-    mask = g.edge_mask()
-    chars = []
-    for gstart in range(0, m, 6):
-        val = 0
-        for k in range(6):
-            p = gstart + k
-            if p < m and mask >> p & 1:
-                val |= 1 << (5 - k)
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # the mask's bits in pair order (a sentinel bit m keeps the leading
+    # zeros), padded with zeros to whole sextets, one character per sextet
+    bits = bin(g.edge_mask() | 1 << m)[3:][::-1] + "0" * (-m % 6)
+    return head + "".join([chr(int(bits[k:k + 6], 2) + 63) for k in range(0, m, 6)])
 
 
 _REVERSED_SEXTETS = tuple(format(val, "06b")[::-1] for val in range(64))

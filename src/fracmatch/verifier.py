@@ -604,6 +604,16 @@ class VerifySpec:
         return out
 
 
+def _json_fields(report, **converted) -> dict:
+    """A report's fields in declaration order, tuples as lists, with the
+    ``converted`` values in place of the raw ones."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out | converted
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     spec: VerifySpec
@@ -620,18 +630,9 @@ class VerificationReport:
     elapsed_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "bound": str(self.bound),
-            "observed_max": None if self.observed_max is None else str(self.observed_max),
-            "witnesses": list(self.witnesses),
-            "scanned": self.scanned,
-            "spot_checked": self.spot_checked,
-            "passed": self.passed,
-            "verdict": self.verdict,
-            "witness_matches_construction": self.witness_matches_construction,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        observed = None if self.observed_max is None else str(self.observed_max)
+        return _json_fields(self, spec=self.spec.to_json_dict(), bound=str(self.bound),
+                            observed_max=observed)
 
 
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
@@ -881,15 +882,8 @@ class NonexistenceReport:
     elapsed_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": {"n": self.n, "s2": self.s2, "delta": self.delta},
-            "scanned": self.scanned,
-            "spot_checked": self.spot_checked,
-            "qualifying": self.qualifying,
-            "counterexamples": list(self.counterexamples),
-            "verdict": self.verdict,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        out = _json_fields(self)
+        return {"spec": {key: out.pop(key) for key in ("n", "s2", "delta")}, **out}
 
 
 def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
@@ -899,8 +893,7 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
     >= delta, for delta beyond the feasible cap of the parity of s2: a scan
     of the at-least filter with no motif, whose witnesses are the smallest
     counterexamples."""
-    if s2 < 4 or n < s2 + 1:
-        raise ValueError(f"(n, s2) = ({n}, {s2}) outside n >= 2s + 1 >= 5")
+    formulas.check_order(n, s2)
     cap = feasible_t_max(s2)
     if delta <= cap:
         raise ValueError(f"delta = {delta} is feasible (cap {cap}); nothing to refute")

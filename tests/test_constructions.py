@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from fracmatch.constructions import (
-    FamilySpec,
     build_extremal,
     build_family_member,
     describe_extremal,
@@ -42,6 +41,33 @@ def test_canonical_labeling_is_stable():
     assert to_graph6(build_extremal(ExtremalParams(8, 6, 2, 1))) == "G~rEA?"
 
 
+def test_family_labeling_is_stable():
+    # which of v's edges the deletion rule cuts, frozen like G(n, s, t) above
+    frozen = {
+        ("F1", (8, 6, 2, 1)): {(0, 1, 0): "GfrEE?", (1, 0, 0): "GmrEE?"},
+        ("F1", (9, 6, 2, 2)): {(1, 1, 0): "HnrEEB?", (2, 0, 0): "H}rEEB?"},
+        ("F2", (7, 4, 2, 1)): {(0, 0, 1): "FIPE?", (1, 0, 0): "FiPA?"},
+        ("F2", (8, 5, 1, 1)): {(0, 0, 1): "GJ??C?", (0, 1, 0): "GN????"},
+    }
+    for (family, params), codes in frozen.items():
+        p = ExtremalParams(*params)
+        for split, code in codes.items():
+            assert to_graph6(build_family_member(family, p, split)) == code
+
+
+def test_extremal_graph_is_the_g_family_member():
+    for n in range(5, 10):
+        for s2 in range(4, n):
+            for t in range(1, feasible_t_max(s2) + 1):
+                for delta in range(1, t + 1):
+                    p = ExtremalParams(n, s2, t, delta)
+                    assert family_splits("G", p) == [(delta, 0, 0)]
+                    assert build_family_member("G", p, (delta, 0, 0)) == build_extremal(p)
+                    for motif in (Clique(3), Biclique(1, 2)):
+                        assert family_max_count("G", p, motif) == g_motif_value(p, motif) \
+                            == family_max_count_literal("G", p, motif)
+
+
 def test_describe_matches_parts():
     d = describe_extremal(ExtremalParams(8, 6, 2, 1))
     assert d["clique_part"] == [0, 1]
@@ -70,31 +96,31 @@ def test_construction_fidelity_grid():
 
 def test_family_member_degree():
     p = ExtremalParams(7, 4, 1, 1)
-    m = build_family_member(FamilySpec("F1", p, (1, 0, 0)))
+    m = build_family_member("F1", p, (1, 0, 0))
     assert m.edge_count() == 6
     assert m.degree(p.t) == 1  # v keeps one neighbor
 
     p = ExtremalParams(7, 4, 2, 1)
-    m = build_family_member(FamilySpec("F2", p, (1, 0, 0)))
+    m = build_family_member("F2", p, (1, 0, 0))
     assert m.edge_count() == 6
     assert m.degree(0) == 1
 
     p = ExtremalParams(8, 6, 2, 1)
-    m = build_family_member(FamilySpec("F1", p, (0, 1, 0)))
+    m = build_family_member("F1", p, (0, 1, 0))
     assert m.degree(2) == 1
 
 
 def test_family_spec_validation():
     p = ExtremalParams(7, 4, 1, 1)
     with pytest.raises(ValueError):
-        FamilySpec("F1", p, (0, 0, 1))  # independent-part neighbor for F1
+        build_family_member("F1", p, (0, 0, 1))  # independent-part neighbor for F1
     with pytest.raises(ValueError):
-        FamilySpec("F1", p, (1, 1, 0))  # wrong sum
+        build_family_member("F1", p, (1, 1, 0))  # wrong sum
     with pytest.raises(ValueError):
-        FamilySpec("F3", p, (1, 0, 0))
+        build_family_member("F3", p, (1, 0, 0))
     # F1 with empty middle clique (t = s) must refuse
     with pytest.raises(ValueError):
-        FamilySpec("F1", ExtremalParams(7, 4, 2, 1), (1, 0, 0))
+        build_family_member("F1", ExtremalParams(7, 4, 2, 1), (1, 0, 0))
     with pytest.raises(ValueError):
         list(family_splits("F1", ExtremalParams(7, 4, 2, 1)))
 
