@@ -10,8 +10,10 @@ copies in the extremal construction G(n, s, t) (see constructions module);
 ``bound_motif`` takes the maximum of those formulas over the constructions
 of ``extremal_candidates``: the two values of t that discrete convexity
 singles out, for each admissible minimum degree.  ``verify_convexity``
-sweeps the second differences behind that convexity (the ``lemma23``,
-``lemma24`` and ``lemma27`` families of ``CONVEX_FAMILIES``) over a grid.
+sweeps the second differences behind that convexity over a grid, in
+constant memory and only where n >= 2s + 1 >= 5: the ``lemma23``,
+``lemma24`` and ``lemma27`` families of ``CONVEX_FAMILIES`` are the t-terms
+of ``g_clique``/``g_biclique`` themselves.
 """
 
 from __future__ import annotations
@@ -69,16 +71,32 @@ class ExtremalParams:
         return self.n + self.t - self.s2
 
 
+def _clique_core(t: int, s2: int, ell: int) -> int:
+    """C(2s - t, l), the lemma23 family."""
+    return binom(s2 - t, ell)
+
+
+def _clique_pendant(t: int, n: int, s2: int, ell: int) -> int:
+    """C(t, l - 1)(n + t - 2s - 1), the lemma24 family."""
+    return binom(t, ell - 1) * (n + t - s2 - 1)
+
+
+def _biclique_body(t: int, n: int, s2: int, r1: int, r2: int) -> int:
+    """g_biclique's ordered total without its delta terms, the lemma27 family."""
+    r = r1 + r2
+    total = binom(s2 - t, r) * binom(r, r1)
+    for rj in (r1, r2):
+        total += binom(t, rj) * (binom(n - rj - 1, r - rj) - binom(s2 - t - rj, r - rj))
+    return total
+
+
 def g_clique(p: ExtremalParams, ell: int) -> int:
     """Exact K_ell count of G(n, s, t):
     C(2s-t, l) + C(t, l-1)(n+t-2s-1) + C(delta, l-1)."""
     if ell < 2:
         raise ValueError("clique order must be >= 2")
-    return (
-        binom(p.s2 - p.t, ell)
-        + binom(p.t, ell - 1) * (p.n + p.t - p.s2 - 1)
-        + binom(p.delta, ell - 1)
-    )
+    return (_clique_core(p.t, p.s2, ell) + _clique_pendant(p.t, p.n, p.s2, ell)
+            + binom(p.delta, ell - 1))
 
 
 def g_biclique(p: ExtremalParams, r1: int, r2: int) -> int:
@@ -88,11 +106,8 @@ def g_biclique(p: ExtremalParams, r1: int, r2: int) -> int:
         raise ValueError("biclique part sizes must be >= 1")
     r = r1 + r2
     c = 2 if r1 == r2 else 1
-    total = binom(p.s2 - p.t, r) * binom(r, r1)
+    total = _biclique_body(p.t, p.n, p.s2, r1, r2)
     for rj in (r1, r2):
-        total += binom(p.t, rj) * (
-            binom(p.n - rj - 1, r - rj) - binom(p.s2 - p.t - rj, r - rj)
-        )
         total += binom(p.delta, rj) * binom(p.n - rj - 1, r - rj - 1)
     q, rem = divmod(total, c)
     if rem:
@@ -217,35 +232,13 @@ def bound_motif_scan(n: int, s2: int, delta: int, motif: Motif) -> int:
 # ---------------------------------------------------------------------------
 # discrete convexity: centered second differences F(t+1) + F(t-1) - 2 F(t)
 
-def _sd23(s2: int, ell: int, t: int) -> int:
-    if not (t - 1 >= 1 and t + 1 <= s2):
-        raise ValueError(f"t = {t} outside 2..{s2 - 1} for s2 = {s2}")
-    f = lambda x: binom(s2 - x, ell)
-    return f(t + 1) + f(t - 1) - 2 * f(t)
-
-
-def _sd24(n: int, s2: int, ell: int, t: int) -> int:
-    if t - 1 < 1:
-        raise ValueError(f"t = {t} must be >= 2")
-    f = lambda x: binom(x, ell - 1) * (n + x - s2 - 1)
-    return f(t + 1) + f(t - 1) - 2 * f(t)
-
-
-def _sd27(n: int, s2: int, r1: int, r2: int, t: int) -> int:
-    if not (t - 1 >= 1 and 2 * (t + 1) <= s2):
-        raise ValueError(f"t = {t} outside 2..s - 1 for s2 = {s2}")
-    r = r1 + r2
-
-    def h(x: int) -> int:
-        tot = binom(s2 - x, r) * binom(r, r1)
-        for rj in (r1, r2):
-            tot += binom(x, rj) * (
-                binom(n - rj - 1, r - rj) - binom(s2 - x - rj, r - rj)
-            )
-        return tot
-
-    return h(t + 1) + h(t - 1) - 2 * h(t)
-
+# family -> (its t-term F of the count, the parameters F reads after t, its t
+# range at s2: the t a sweep visits and the domain of second_difference)
+_FAMILIES = {
+    "lemma23": (_clique_core, ("s2", "ell"), lambda s2: range(2, s2)),
+    "lemma24": (_clique_pendant, ("n", "s2", "ell"), lambda s2: range(2, s2 + 1)),
+    "lemma27": (_biclique_body, ("n", "s2", "r1", "r2"), lambda s2: range(2, s2 // 2)),
+}
 
 # the default sweep grid of each family; its keys are the family names
 DEFAULT_CONVEXITY_GRIDS = {
@@ -256,28 +249,35 @@ DEFAULT_CONVEXITY_GRIDS = {
 CONVEX_FAMILIES = tuple(DEFAULT_CONVEXITY_GRIDS)
 
 
-def second_difference(family: str, t: int, *, s2: int, ell: int | None = None,
-                      n: int | None = None, r1: int | None = None,
-                      r2: int | None = None) -> int:
+def _second_differences(term, args, ts: range):
+    """F(t + 1) + F(t - 1) - 2 F(t) for each t of ts; F = term(., *args) runs once per t."""
+    prev, cur = term(ts.start - 1, *args), term(ts.start, *args)
+    for t in ts:
+        nxt = term(t + 1, *args)
+        yield nxt + prev - 2 * cur
+        prev, cur = cur, nxt
+
+
+def _family(family: str):
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
+    return _FAMILIES[family]
+
+
+def second_difference(family: str, t: int, **params: int) -> int:
     """Centered second difference of one of the three convex families.
 
     ``lemma23`` needs (s2, ell); ``lemma24`` needs (n, s2, ell); ``lemma27``
     needs (n, s2, r1, r2).  The result is nonnegative on the families'
     domains; callers sweep it to certify convexity.
     """
-    if family == "lemma23":
-        if ell is None:
-            raise ValueError("lemma23 needs ell")
-        return _sd23(s2, ell, t)
-    if family == "lemma24":
-        if ell is None or n is None:
-            raise ValueError("lemma24 needs n and ell")
-        return _sd24(n, s2, ell, t)
-    if family == "lemma27":
-        if n is None or r1 is None or r2 is None:
-            raise ValueError("lemma27 needs n, r1 and r2")
-        return _sd27(n, s2, r1, r2, t)
-    raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
+    term, names, t_range = _family(family)
+    if any(params.get(name) is None for name in names):
+        raise ValueError(f"{family} needs {', '.join(names)}")
+    ts = t_range(params["s2"])
+    if t not in ts:
+        raise ValueError(f"t = {t} outside {ts.start}..{ts.stop - 1} for s2 = {params['s2']}")
+    return next(_second_differences(term, [params[name] for name in names], range(t, t + 1)))
 
 
 @dataclass(frozen=True)
@@ -299,42 +299,39 @@ class ConvexityReport:
 
 
 def _convexity_points(family: str, grid: dict):
-    s2_lo, s2_hi = grid["s2"]
-    if family == "lemma23":
-        for s2 in range(s2_lo, s2_hi + 1):
+    """The grid's points without t, keyed by the family's parameter names."""
+    for s2 in range(grid["s2"][0], grid["s2"][1] + 1):
+        if family == "lemma23":
             for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                for t in range(2, s2):
-                    yield {"s2": s2, "ell": ell, "t": t}
-    elif family == "lemma24":
-        off_lo, off_hi = grid["n_offset"]
-        for s2 in range(s2_lo, s2_hi + 1):
-            for n in range(s2 + off_lo, s2 + off_hi + 1):
+                yield {"s2": s2, "ell": ell}
+            continue
+        for n in range(s2 + grid["n_offset"][0], s2 + grid["n_offset"][1] + 1):
+            if family == "lemma24":
                 for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                    for t in range(2, s2 + 1):
-                        yield {"n": n, "s2": s2, "ell": ell, "t": t}
-    elif family == "lemma27":
-        off_lo, off_hi = grid["n_offset"]
-        for s2 in range(s2_lo, s2_hi + 1):
-            for n in range(s2 + off_lo, s2 + off_hi + 1):
+                    yield {"n": n, "s2": s2, "ell": ell}
+            else:
                 for r1 in range(1, grid["r_total"]):
                     for r2 in range(r1, grid["r_total"] - r1 + 1):
-                        for t in range(2, s2 // 2):
-                            yield {"n": n, "s2": s2, "r1": r1, "r2": r2, "t": t}
+                        yield {"n": n, "s2": s2, "r1": r1, "r2": r2}
 
 
 def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
-    """Sweep the centered second difference over the grid; all must be >= 0.
-    A grid with no point raises ValueError, since an empty sweep shows nothing."""
-    if family not in CONVEX_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {CONVEX_FAMILIES}")
+    """Sweep the centered second difference over the grid, keeping only the
+    point count and the first minimum; all must be >= 0.  A point outside
+    n >= 2s + 1 >= 5 raises ValueError, and so does a grid with no point."""
+    term, names, t_range = _family(family)
     grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
     if grid["s2"][0] > grid["s2"][1]:
         raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
-    sweep = []
+    points, best = 0, None
     for pt in _convexity_points(family, grid):
-        t = pt.pop("t")
-        sweep.append((second_difference(family, t, **pt), dict(pt, t=t)))
-    if not sweep:
+        ts = t_range(pt["s2"])
+        if ts:  # lemma23 has no n: its s2 must admit the least order, s2 + 1
+            check_order(pt.get("n", pt["s2"] + 1), pt["s2"])
+        for t, value in zip(ts, _second_differences(term, [pt[k] for k in names], ts)):
+            points += 1
+            if best is None or value < best[0]:
+                best = value, dict(pt, t=t)
+    if best is None:
         raise ValueError(f"{family} grid {grid} has no points; the sweep certifies nothing")
-    min_val, argmin = min(sweep, key=lambda point: point[0])  # the first minimum
-    return ConvexityReport(family, len(sweep), min_val, argmin, all_nonnegative=min_val >= 0)
+    return ConvexityReport(family, points, *best, all_nonnegative=best[0] >= 0)

@@ -212,12 +212,26 @@ def test_convexity_lemma23(capsys):
 
 
 def test_convexity_s2_min_zero_is_kept(capsys):
-    # s2 = 3 is the only value in 0..3 with an interior t; the default
-    # lower end 4 would leave no points at all
-    code, out, _ = run(capsys, ["convexity", "--family", "lemma23",
-                                "--s2-min", "0", "--s2-max", "3"])
-    assert code == 0
-    assert json.loads(out)["points"] == 5
+    # s2 = 3 has an interior t outside the hypothesis; the default lower
+    # end 4 in place of 0 would sweep 4..5 and exit 0
+    code, out, err = run(capsys, ["convexity", "--family", "lemma23",
+                                  "--s2-min", "0", "--s2-max", "5"])
+    assert code == 2 and not out and "outside n >= 2s + 1 >= 5" in err
+
+
+@pytest.mark.parametrize("family,lo,hi", [("lemma23", "3", "10"), ("lemma24", "3", "10"),
+                                          ("lemma24", "0", "3")])
+def test_convexity_point_outside_the_hypothesis_exits_2(capsys, family, lo, hi):
+    code, out, err = run(capsys, ["convexity", "--family", family,
+                                  "--s2-min", lo, "--s2-max", hi])
+    assert code == 2 and not out and "outside n >= 2s + 1 >= 5" in err
+
+
+def test_convexity_skips_an_s2_without_t(capsys):
+    # lemma27 has no t at s2 = 3, so no point of 3..10 is outside the hypothesis
+    code, out, _ = run(capsys, ["convexity", "--family", "lemma27",
+                                "--s2-min", "3", "--s2-max", "10"])
+    assert code == 0 and json.loads(out)["all_nonnegative"] is True
 
 
 def test_convexity_empty_s2_range_exits_2(capsys):

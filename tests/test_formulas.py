@@ -1,6 +1,8 @@
 """Formula evaluators: binomial conventions, counting formulas, bounds,
 second differences, and agreement with brute-force counts."""
 
+import tracemalloc
+
 import pytest
 
 from fracmatch.constructions import build_extremal
@@ -235,6 +237,8 @@ class TestSecondDifferences:
             second_difference("lemma25", 2, s2=8, ell=3)
         with pytest.raises(ValueError):
             second_difference("lemma24", 2, s2=6)  # missing n
+        with pytest.raises(ValueError):
+            second_difference("lemma24", 7, s2=6, ell=3, n=10)  # t = s2 + 1
 
     def test_sweep_rejects_an_unknown_family(self):
         for grid in (None, {"s2": (4, 5)}):
@@ -242,9 +246,40 @@ class TestSecondDifferences:
                 verify_convexity("lemma25", grid)
 
     def test_matches_direct_evaluation(self):
+        # each family's term written out here, not imported from formulas
+        def sd(f, t):
+            return f(t + 1) + f(t - 1) - 2 * f(t)
+
         for s2 in range(4, 11):
             for ell in range(2, 6):
                 for t in range(2, s2):
-                    f = lambda x: binom(s2 - x, ell)
                     assert second_difference("lemma23", t, s2=s2, ell=ell) == \
-                        f(t + 1) + f(t - 1) - 2 * f(t)
+                        sd(lambda x: binom(s2 - x, ell), t)
+            for n in range(s2 + 1, s2 + 7):
+                for ell in range(2, 6):
+                    for t in range(2, s2 + 1):
+                        assert second_difference("lemma24", t, s2=s2, ell=ell, n=n) == \
+                            sd(lambda x: binom(x, ell - 1) * (n + x - s2 - 1), t)
+                for r1, r2 in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)):
+                    r = r1 + r2
+
+                    def body(x):
+                        return binom(s2 - x, r) * binom(r, r1) + sum(
+                            binom(x, rj) * (binom(n - rj - 1, r - rj)
+                                            - binom(s2 - x - rj, r - rj))
+                            for rj in (r1, r2))
+
+                    for t in range(2, s2 // 2):
+                        assert second_difference("lemma27", t, s2=s2, n=n,
+                                                 r1=r1, r2=r2) == sd(body, t)
+
+    def test_sweep_memory_does_not_grow_with_the_grid(self):
+        grid = {"s2": (4, 80), "n_offset": (1, 6), "ell": (2, 5)}
+        tracemalloc.start()
+        try:
+            report = verify_convexity("lemma24", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.points == 75_768 and report.all_nonnegative
+        assert peak < 1 << 20

@@ -771,6 +771,24 @@ def test_jobs_do_not_change_reports(monkeypatch, corpus8):
     assert run(1) == run(2)
 
 
+def test_no_process_pool_falls_back_to_serial(monkeypatch):
+    import fracmatch.verifier as V
+
+    tried = []
+
+    def no_pool(max_workers):
+        tried.append(max_workers)
+        raise OSError("process pools unavailable")
+
+    monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    specs = [VerifySpec("1.6", 6, s2=4, delta=1, motif=Clique(3)), VerifySpec("1.1", 6, k=2)]
+    serial = [report_fields(r) for r in verify_specs(specs, jobs=1)]
+    monkeypatch.setattr(V, "ProcessPoolExecutor", no_pool)
+    assert [report_fields(r) for r in verify_specs(specs, jobs=2)] == serial
+    assert tried == [2]
+
+
 def test_pool_keeps_at_most_two_tasks_per_worker_ahead(monkeypatch):
     import fracmatch.verifier as V
 
