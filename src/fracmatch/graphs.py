@@ -47,8 +47,6 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))

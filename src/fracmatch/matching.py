@@ -82,8 +82,7 @@ def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     and N(S_high), read from one table per half of the vertex set (2^floor(n/2)
     and 2^ceil(n/2) entries, one OR each), so memory is O(2^ceil(n/2)).
     Plain ints only: this route shares no code with the König–Ore kernel.
-    Ties among maximizing subsets are broken toward the lexicographically
-    smallest sorted vertex tuple.
+    S ascends, so keeping the last maximizer keeps the least T as a bit set.
     """
     n = g.n
     if n > MAX_DEFICIENCY_SCAN:
@@ -99,10 +98,8 @@ def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
         for a, nb_low in enumerate(low):
             s = s_high | a
             deficiency = 2 * s.bit_count() - n - (s & (nb_low | nb_high)).bit_count()
-            if deficiency > best:
+            if deficiency >= best:
                 best, best_t = deficiency, full ^ s
-            elif deficiency == best and _lex_before(full ^ s, best_t):
-                best_t = full ^ s
     t = tuple(_bits(best_t))
     return HalfInt(n - best), DeficiencyWitness(t, best + len(t))
 
@@ -114,17 +111,6 @@ def _neighbourhood_table(adj: tuple[int, ...], base: int, k: int) -> list[int]:
         lowest = s & -s
         table[s] = table[s ^ lowest] | adj[base + lowest.bit_length() - 1]
     return table
-
-
-def _lex_before(a: int, b: int) -> bool:
-    """Whether sorted(bits(a)) < sorted(bits(b)) as tuples, for masks a != b.
-
-    At the lowest differing bit x, the mask holding x comes first exactly
-    when the other one continues above x; otherwise the other is a prefix.
-    """
-    x = (a ^ b) & -(a ^ b)
-    above = -(x << 1)  # every bit above x
-    return bool(b & above) if a & x else not a & above
 
 
 def _double_cover_matching(g: Graph) -> tuple[int, list[int]]:

@@ -38,10 +38,12 @@ The vectorized invariants are not the scalar algorithms: nu2 is the
 König–Ore defect formula of the bipartite double cover, 2 nu* = min over
 S of (n - |S| + |N(S)|), and nu a perfect-matching DP over even vertex
 sets, both on byte-wide neighbour rows (``mask_invariants``,
-``matching_numbers``, which the stream's chunks read).  A native chunk
-reads them off tables of its graphs H instead (``extension_invariants``),
-by two one-vertex identities, with U = V(H) - X and D(H) the vertices u
-with nu(H - u) = nu(H):
+``matching_numbers``).  Both sources read nu off the graph H on the first
+n - 1 vertices, by the second of two one-vertex identities below: one DP
+pass on H gives nu(H) and D(H), the vertices u with nu(H - u) = nu(H),
+which are those some maximum matching misses.  The stream's chunks read
+nu2 off their own masks, and a native chunk reads it off tables of its
+graphs H (``extension_invariants``) by the first, with U = V(H) - X:
 
     2 nu*(H + v) = min(2 nu*(H) + 2, 2|X| + 2 nu*(H[U]),
                        1 + min over S of U of (n - 1 - |S| + |N_H(S)|)),
@@ -178,30 +180,36 @@ def mask_invariants(n: int, masks: np.ndarray) -> dict[str, np.ndarray]:
     return {"nu2": nu2, "mind": mind, "maxd": maxd}
 
 
-def matching_numbers(n: int, masks: np.ndarray) -> np.ndarray:
-    """The matching number nu of every edge mask, as uint8.
+def matching_numbers(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, missed) for every edge mask, both uint8: the matching number,
+    and the bit set of the vertices that some maximum matching misses.
 
     A perfect-matching DP over the even vertex sets S, on the neighbour
     rows: pm[{}] = 1 and pm[S] = OR over u in S - v adjacent to v of
     pm[S - v - u], v = min S.  A perfect matching on 2k vertices contains
-    one on 2k - 2, so nu counts the k >= 1 with pm[S] for some |S| = 2k.
-    Only sets without vertex 0 are stored: no S - v - u holds it."""
+    one on 2k - 2, so nu counts the k >= 1 with pm[S] for some |S| = 2k,
+    and missed is the union of V - S over the S with |S| = 2 nu and pm[S],
+    k = nu being the last level with some pm[S].  Only sets without vertex
+    0 are stored: no S - v - u holds it."""
     blocks = _neighbour_rows(n, masks)
     size = min(len(masks), _BLOCK)
     nu = np.zeros(len(masks), dtype=np.uint8)
+    missed = np.full(len(masks), (1 << n) - 1, dtype=np.uint8)  # V - {}, at k = 0
     kept = {S: i for i, S in enumerate(S for k in range(0, n, 2)
                                         for S in itertools.combinations(range(1, n), k))}
     pm = np.empty((len(kept) + 1, size), dtype=np.uint8)  # the last row: sets holding 0
     pm[kept[()]] = 1
     edge = np.empty((n * (n - 1) // 2, size), dtype=np.uint8)
-    found, tmp = np.empty((2, size), dtype=np.uint8)
+    found, outside, tmp = np.empty((3, size), dtype=np.uint8)
     for lo, hi, row in blocks:
-        e, p, f, t = edge[:, :hi - lo], pm[:, :hi - lo], found[:hi - lo], tmp[:hi - lo]
+        e, p, t = edge[:, :hi - lo], pm[:, :hi - lo], tmp[:hi - lo]
+        f, out = found[:hi - lo], outside[:hi - lo]
         for v, u in itertools.combinations(range(n), 2):
             np.right_shift(row[v], u, out=e[pair_index(v, u)])
         np.bitwise_and(e, 1, out=e)
         for k in range(1, n // 2 + 1):
             f.fill(0)
+            out.fill(0)
             for S in itertools.combinations(range(n), 2 * k):
                 v, rest = S[0], S[1:]
                 dst = p[kept.get(S, -1)]
@@ -210,8 +218,11 @@ def matching_numbers(n: int, masks: np.ndarray) -> np.ndarray:
                     np.bitwise_and(e[pair_index(v, u)], p[kept[rest[:j] + rest[j + 1:]]], out=t)
                     np.bitwise_or(dst, t, out=dst)
                 np.bitwise_or(f, dst, out=f)
+                np.multiply(dst, (1 << n) - 1 - sum(1 << w for w in S), out=t)  # V - S, or 0
+                np.bitwise_or(out, t, out=out)
             np.add(nu[lo:hi], f, out=nu[lo:hi])
-    return nu
+            np.copyto(missed[lo:hi], out, where=f.view(bool))
+    return nu, missed
 
 
 def _over_subsets(op: np.ufunc, first: int, rows: np.ndarray) -> np.ndarray:
@@ -277,26 +288,22 @@ def extension_invariants(n: int, hs: range, names) -> dict[str, np.ndarray]:
     maximum matching of H - u and the edge vu give nu(H) + 1.  If nu(G) =
     nu(H) + 1, a maximum matching of G uses some edge vu (otherwise it lies
     in H), and without vu it is a matching of H - u of size nu(H).
+    u in D(H) iff some maximum matching misses u, iff u lies outside some S
+    with |S| = 2 nu(H) and pm[S].
 
     The per-H tables are N_H(S) and val(S) (with its minimum over subsets)
     for every S, 2 nu*(H[U]) for every U from the 3^m pairs S of U, and
-    min/max over u in X of deg_H(u); nu(H) and nu(H - u) come from
-    ``matching_numbers`` at m vertices, H - u as H without u's edges.  No
-    table holds more than one byte per graph of the chunk."""
+    min/max over u in X of deg_H(u); nu(H) and D(H) come from one
+    ``matching_numbers`` pass at m vertices.  No table holds more than one
+    byte per graph of the chunk."""
     m = n - 1
     block = np.arange(hs.start, hs.stop, dtype=MASK_DTYPE)
     xs = np.arange(1 << m, dtype=np.uint8)
     size = np.bitwise_count(xs)[:, None]  # |X|
     inv = {}
     if "nu" in names:
-        edges = (1 << m * (m - 1) // 2) - 1
-        stars = [sum(1 << pair_index(u, w) for w in range(m) if w != u) for u in range(m)]
-        nus = matching_numbers(m, np.concatenate(
-            [block] + [block & MASK_DTYPE(edges ^ star) for star in stars])).reshape(m + 1, -1)
-        tight = np.zeros(len(block), dtype=np.uint8)  # D(H) as a bit set
-        for u in range(m):
-            tight |= (nus[u + 1] == nus[0]).view(np.uint8) << u
-        inv["nu"] = (nus[0] + (xs[:, None] & tight).astype(bool)).ravel()
+        nu, missed = matching_numbers(m, block)  # missed = D(H)
+        inv["nu"] = (nu + (xs[:, None] & missed).astype(bool)).ravel()
     if "nu2" in names:
         (_, _, rows), = _neighbour_rows(m, block)  # a chunk holds <= _BLOCK graphs H
         nbr = _over_subsets(np.bitwise_or, 0, rows)  # N_H(S)
@@ -335,7 +342,7 @@ def extension_invariants(n: int, hs: range, names) -> dict[str, np.ndarray]:
 def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     """Does each mask contain k disjoint edges; no scan calls this view,
     but the bench harness traces its name."""
-    return matching_numbers(n, masks) >= k
+    return matching_numbers(n, masks)[0] >= k
 
 
 def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
@@ -756,8 +763,10 @@ def _fold_chunk(task: tuple) -> tuple[int, list[list[_Fold]], tuple]:
         inv = extension_invariants(n, chunk, names)
     else:
         inv = mask_invariants(n, masks) if "nu2" in names else {}
-        if "nu" in names:
-            inv["nu"] = matching_numbers(n, masks)
+        if "nu" in names:  # as in extension_invariants, H on the first n - 1 vertices
+            low = (n - 1) * (n - 2) // 2
+            nu, missed = matching_numbers(n - 1, masks & MASK_DTYPE((1 << low) - 1))
+            inv["nu"] = nu + (missed & (masks >> low).astype(np.uint8)).astype(bool)
     if "nu" in names and "nu2" in names:  # nu <= nu* <= 3 nu / 2 on every graph
         nu, nu2 = inv["nu"], inv["nu2"]
         bad = np.flatnonzero((nu2 < 2 * nu) | (nu2 > 3 * nu))

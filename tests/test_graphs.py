@@ -86,6 +86,8 @@ class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, (0b01, 0b10))
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Graph.from_edges(3, [(1, 1)])
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetric"):

@@ -15,12 +15,12 @@ from fracmatch.graphs import (
     delete_edges,
     disjoint_union,
     empty_graph,
+    from_graph6,
     join,
 )
 from fracmatch.matching import (
     DeficiencyWitness,
     HalfInt,
-    _lex_before,
     fractional_certificate,
     matching_number,
     nu_star_deficiency,
@@ -33,7 +33,7 @@ from random_graphs import random_graph
 def deficiency_by_gray_walk(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     """A Gray-code walk over T with incremental isolated counts, kept as the
     oracle of the split-table ``nu_star_deficiency``: same value, same
-    lexicographically smallest witness."""
+    witness, the least maximizing T as a bit set."""
     n = g.n
     adj = g.adj
     # out_deg[v] = neighbors of v outside T, maintained for every vertex
@@ -42,7 +42,7 @@ def deficiency_by_gray_walk(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     iso = sum(1 for v in range(n) if out_deg[v] == 0)
 
     best = iso  # T = empty set
-    best_t = ()
+    best_t = 0
     prev_gray = 0
     for k in range(1, 1 << n):
         gray = k ^ (k >> 1)
@@ -65,15 +65,11 @@ def deficiency_by_gray_walk(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
             if out_deg[w] == 0:
                 iso += 1
         deficiency = iso - t_mask.bit_count()
-        if deficiency > best:
+        if deficiency > best or (deficiency == best and t_mask < best_t):
             best = deficiency
-            best_t = tuple(_bits(t_mask))
-        elif deficiency == best:
-            cand = tuple(_bits(t_mask))
-            if cand < best_t:
-                best_t = cand
-    isolated_at_best = best + len(best_t)
-    return HalfInt(n - best), DeficiencyWitness(best_t, isolated_at_best)
+            best_t = t_mask
+    witness = tuple(_bits(best_t))
+    return HalfInt(n - best), DeficiencyWitness(witness, best + len(witness))
 
 
 def matching_by_two_branches(g: Graph) -> int:
@@ -165,9 +161,9 @@ def test_deficiency_size_guard():
         nu_star_deficiency(empty_graph(25))
 
 
-def test_witness_tie_break_is_lexicographic():
+def test_witness_is_the_least_maximizing_mask():
     # K_2 + K_2: deficiency 0 at T = {} but also at every singleton;
-    # the empty set is the lexicographically smallest maximizer
+    # the empty set is the least maximizer
     g = disjoint_union(complete_graph(2), complete_graph(2))
     _, wit = nu_star_deficiency(g)
     assert wit.T == ()
@@ -175,6 +171,10 @@ def test_witness_tie_break_is_lexicographic():
     two = disjoint_union(star, star)
     _, wit = nu_star_deficiency(two)
     assert wit.T == (0, 4)
+    # DI_ (edges 04, 12, 13): deficiency 1 at T = {1} (mask 2) and at
+    # T = {0, 1} (mask 3), which comes first as a sorted tuple
+    _, wit = nu_star_deficiency(from_graph6("DI_"))
+    assert wit.T == (1,) and wit.isolated == 2
 
 
 def test_oracle_agreement_exhaustive_n4():
@@ -276,13 +276,6 @@ class TestSplitTableDeficiency:
             for _ in range(40 if n <= 10 else 4):
                 g = random_graph(rng, n)
                 assert nu_star_deficiency(g) == deficiency_by_gray_walk(g)
-
-    def test_tie_break_matches_tuple_order(self):
-        tuples = [tuple(_bits(m)) for m in range(1 << 7)]
-        for a in range(1 << 7):
-            for b in range(1 << 7):
-                if a != b:
-                    assert _lex_before(a, b) == (tuples[a] < tuples[b])
 
     def test_memory_stays_split(self):
         # two tables of 2^8 entries; a flat 2^16 table would peak near 2.6 MB

@@ -1,5 +1,6 @@
 """Exhaustive verifier: vectorized engine against a naive reference scan."""
 
+import functools
 import itertools
 from concurrent.futures import Future
 from dataclasses import replace
@@ -138,11 +139,32 @@ def assert_matching_numbers_match_scalar(n, masks, nu):
     assert nu.tolist() == expected, n
 
 
+@functools.cache  # an exhaustive scan meets every H - u again as a graph H
+def scalar_nu(n, mask):
+    return matching_number(Graph.from_edge_mask(n, mask))
+
+
+def assert_missed_match_scalar(n, masks, missed):
+    """missed holds the u with nu(H - u) = nu(H), H - u as H without u's edges."""
+    assert missed.dtype == np.uint8 and missed.shape == masks.shape
+    stars = [sum(1 << pair_index(u, w) for w in range(n) if w != u) for u in range(n)]
+    expected = [sum(1 << u for u, star in enumerate(stars)
+                    if scalar_nu(n, mask & ~star) == scalar_nu(n, mask))
+                for mask in masks.tolist()]
+    assert missed.tolist() == expected, n
+
+
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_matching_numbers_every_labeled_graph(n, dtype):
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=dtype)
-    assert_matching_numbers_match_scalar(n, masks, matching_numbers(n, masks))
+    assert_matching_numbers_match_scalar(n, masks, matching_numbers(n, masks)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_matching_numbers_missed_every_labeled_graph(n):
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+    assert_missed_match_scalar(n, masks, matching_numbers(n, masks)[1])
 
 
 @given(st.data())
@@ -153,14 +175,16 @@ def test_matching_numbers_random_masks(data):
     m = n * (n - 1) // 2
     masks = np.array(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12)),
                      dtype=dtype)
-    assert_matching_numbers_match_scalar(n, masks, matching_numbers(n, masks))
+    nu, missed = matching_numbers(n, masks)
+    assert_matching_numbers_match_scalar(n, masks, nu)
+    assert_missed_match_scalar(n, masks, missed)
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_matching_numbers_equal_containment_on_one_chunk(n):
     masks = np.random.default_rng(n).integers(0, 1 << (n * (n - 1) // 2), size=1 << 19,
                                              dtype=np.uint32)
-    nu = matching_numbers(n, masks)
+    nu, _ = matching_numbers(n, masks)
     for k in range(1, n // 2 + 2):
         assert np.array_equal(nu >= k, contains_matching(n, masks, k)), (n, k)
     assert set(np.unique(nu).tolist()) == set(range(1, n // 2 + 1))
@@ -172,12 +196,14 @@ def test_matching_numbers_block_edges():
                                                      dtype=np.uint64)
     whole = matching_numbers(n, masks)
     pieces = [matching_numbers(n, masks[lo:lo + 4099]) for lo in range(0, len(masks), 4099)]
-    assert np.array_equal(whole, np.concatenate(pieces))
+    for i, values in enumerate(whole):
+        assert np.array_equal(values, np.concatenate([piece[i] for piece in pieces]))
     edge = slice((1 << 16) - 2, None)
-    assert_matching_numbers_match_scalar(n, masks[edge], whole[edge])
+    assert_matching_numbers_match_scalar(n, masks[edge], whole[0][edge])
+    assert_missed_match_scalar(n, masks[edge], whole[1][edge])
 
-    empty = matching_numbers(n, np.zeros(0, dtype=np.uint32))
-    assert empty.shape == (0,) and empty.dtype == np.uint8
+    for empty in matching_numbers(n, np.zeros(0, dtype=np.uint32)):
+        assert empty.shape == (0,) and empty.dtype == np.uint8
     with pytest.raises(ValueError, match="n <= 8"):
         matching_numbers(9, np.zeros(1, dtype=np.uint64))
 
@@ -358,6 +384,30 @@ def test_stream_source_matches_native_max(tmp_path):
     assert stream.scanned == 34
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_stream_of_every_labeled_graph_matches_native_matching_scan(n, tmp_path):
+    # a stream chunk reads nu off its first n - 1 vertices, as a native one does
+    path = tmp_path / f"labeled{n}.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in all_labeled_graphs(n)))
+    for k in range(1, (n - 1) // 2 + 1):
+        native = verify_bound(VerifySpec("1.1", n, k=k))
+        stream = verify_bound(VerifySpec("1.1", n, k=k, source="graph6-stream",
+                                         corpus=str(path)))
+        assert (stream.observed_max, stream.passed, stream.witnesses) == \
+            (native.observed_max, native.passed, native.witnesses), (n, k)
+
+
+def test_stream_chunk_nu_equals_the_direct_dp(corpus8, monkeypatch):
+    import fracmatch.verifier as V
+
+    (chunk, start, total), = V.load_stream(corpus8, 8)
+    assert len(chunk) == total == 12346
+    monkeypatch.setattr(V, "SPOT_CHECK_STRIDE", 1)  # the sample is the whole chunk
+    size, _, (masks, inv) = V._fold_chunk((8, chunk, start, total, {("k", 2): []}))
+    assert size == total and np.array_equal(masks, chunk)
+    assert np.array_equal(inv["nu"], matching_numbers(8, chunk)[0])
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         VerifySpec("1.5", 6, s2=4, delta=1, motif=Clique(2))
@@ -504,7 +554,7 @@ def assert_extension_equals_mask_kernels(n, chunk):
     masks = V._as_masks(n, chunk)
     got = extension_invariants(n, chunk, ALL_INVARIANTS)
     want = mask_invariants(n, masks)
-    want["nu"] = matching_numbers(n, masks)
+    want["nu"] = matching_numbers(n, masks)[0]
     assert got.keys() == want.keys()
     for key, values in want.items():
         assert got[key].dtype == np.uint8 and np.array_equal(got[key], values), (n, chunk, key)
@@ -639,7 +689,7 @@ def test_select_vector_equals_scalar_on_every_graph_n5(key):
     import fracmatch.verifier as V
 
     masks = np.arange(1 << 10, dtype=np.uint32)
-    vector = V._select(key, mask_invariants(5, masks) | {"nu": matching_numbers(5, masks)})
+    vector = V._select(key, mask_invariants(5, masks) | {"nu": matching_numbers(5, masks)[0]})
     assert vector.dtype == bool and vector.shape == masks.shape
     scalar = []
     for mask in range(1 << 10):
