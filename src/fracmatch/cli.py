@@ -22,8 +22,7 @@ from pathlib import Path
 from .constructions import build_extremal, describe_extremal, family_max_count
 from .corpus import default_corpus_path, read_graph6_stream, write_corpus
 from .counting import count_motif, parse_motif
-from .formulas import CONVEX_FAMILIES, DEFAULT_CONVEXITY_GRIDS, ExtremalParams, \
-    verify_convexity
+from .formulas import CONVEX_FAMILIES, ExtremalParams, verify_convexity
 from .graphs import Graph6Error, to_graph6
 from .matching import fractional_certificate, matching_number, nu_star_fast
 from .verifier import THEOREMS, VerifySpec, verify_bound, verify_nonexistence, verify_specs
@@ -95,11 +94,9 @@ def cmd_family_max(args) -> int:
 
 
 def cmd_convexity(args) -> int:
-    grid = dict(DEFAULT_CONVEXITY_GRIDS[args.family])
-    lo, hi = grid["s2"]
-    grid["s2"] = (lo if args.s2_min is None else args.s2_min,
-                  hi if args.s2_max is None else args.s2_max)
-    report = verify_convexity(args.family, grid)
+    # an s2 end not given is not in args, so verify_convexity's default holds
+    ends = {key: getattr(args, key) for key in ("s2_min", "s2_max") if key in args}
+    report = verify_convexity(args.family, **ends)
     _emit(report.to_json_dict())
     return 0 if report.all_nonnegative else 1
 
@@ -275,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convexity", help="second-difference sweep")
     p.add_argument("--family", required=True, choices=CONVEX_FAMILIES)
-    p.add_argument("--s2-min", type=int)
-    p.add_argument("--s2-max", type=int)
+    p.add_argument("--s2-min", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--s2-max", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_convexity)
 
     p = sub.add_parser("verify", help="exhaustive scan against a bound")

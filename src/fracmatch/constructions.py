@@ -23,13 +23,16 @@ from math import comb
 
 from .counting import Motif, count_motif
 from .formulas import ExtremalParams
-from .graphs import Graph, complete_graph, delete_edges, disjoint_union, empty_graph, join
+from .graphs import MAX_VERTICES, Graph, complete_graph, delete_edges, disjoint_union, \
+    empty_graph, join
 
 LITERAL_SUBSET_LIMIT = 1 << 16  # deletion subsets family_max_count_literal enumerates
 
 
 def _base_join(p: ExtremalParams) -> Graph:
     """K_t v (K_{2s-2t} + empty_{n+t-2s}) in canonical labeling."""
+    if p.n > MAX_VERTICES:
+        raise ValueError(f"n = {p.n} exceeds the {MAX_VERTICES} vertices a graph can have")
     inner: Graph | None = None
     if p.middle_size:
         inner = complete_graph(p.middle_size)

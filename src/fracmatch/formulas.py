@@ -10,15 +10,16 @@ copies in the extremal construction G(n, s, t) (see constructions module);
 ``bound_motif`` takes the maximum of those formulas over the constructions
 of ``extremal_candidates``: the two values of t that discrete convexity
 singles out, for each admissible minimum degree.  ``verify_convexity``
-sweeps the second differences behind that convexity over a grid, in
+sweeps the second differences behind that convexity over an s2 range, in
 constant memory and only where n >= 2s + 1 >= 5: the ``lemma23``,
 ``lemma24`` and ``lemma27`` families of ``CONVEX_FAMILIES`` are the t-terms
-of ``g_clique``/``g_biclique`` themselves.
+of ``g_clique``/``g_biclique`` themselves, and each family's row fixes the
+points its sweep visits at one s2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .counting import Biclique, Clique, Motif
@@ -233,20 +234,18 @@ def bound_motif_scan(n: int, s2: int, delta: int, motif: Motif) -> int:
 # discrete convexity: centered second differences F(t+1) + F(t-1) - 2 F(t)
 
 # family -> (its t-term F of the count, the parameters F reads after t, its t
-# range at s2: the t a sweep visits and the domain of second_difference)
+# range at s2: the t a sweep visits and the domain of second_difference, the
+# points a sweep visits at s2: values of those parameters, each with n >= s2 + 1)
 _FAMILIES = {
-    "lemma23": (_clique_core, ("s2", "ell"), lambda s2: range(2, s2)),
-    "lemma24": (_clique_pendant, ("n", "s2", "ell"), lambda s2: range(2, s2 + 1)),
-    "lemma27": (_biclique_body, ("n", "s2", "r1", "r2"), lambda s2: range(2, s2 // 2)),
+    "lemma23": (_clique_core, ("s2", "ell"), lambda s2: range(2, s2),
+                lambda s2: [(s2, ell) for ell in range(2, 7)]),
+    "lemma24": (_clique_pendant, ("n", "s2", "ell"), lambda s2: range(2, s2 + 1),
+                lambda s2: [(n, s2, ell) for n in range(s2 + 1, s2 + 7) for ell in range(2, 6)]),
+    "lemma27": (_biclique_body, ("n", "s2", "r1", "r2"), lambda s2: range(2, s2 // 2),
+                lambda s2: [(n, s2, r1, r2) for n in range(s2 + 1, s2 + 7)
+                            for r1 in range(1, 3) for r2 in range(r1, 6 - r1)]),
 }
-
-# the default sweep grid of each family; its keys are the family names
-DEFAULT_CONVEXITY_GRIDS = {
-    "lemma23": {"s2": (4, 12), "ell": (2, 6)},
-    "lemma24": {"s2": (4, 12), "n_offset": (1, 6), "ell": (2, 5)},
-    "lemma27": {"s2": (4, 12), "n_offset": (1, 6), "r_total": 5},
-}
-CONVEX_FAMILIES = tuple(DEFAULT_CONVEXITY_GRIDS)
+CONVEX_FAMILIES = tuple(_FAMILIES)
 
 
 def _second_differences(term, args, ts: range):
@@ -271,7 +270,7 @@ def second_difference(family: str, t: int, **params: int) -> int:
     needs (n, s2, r1, r2).  The result is nonnegative on the families'
     domains; callers sweep it to certify convexity.
     """
-    term, names, t_range = _family(family)
+    term, names, t_range, _ = _family(family)
     if any(params.get(name) is None for name in names):
         raise ValueError(f"{family} needs {', '.join(names)}")
     ts = t_range(params["s2"])
@@ -284,54 +283,33 @@ def second_difference(family: str, t: int, **params: int) -> int:
 class ConvexityReport:
     family: str
     points: int
-    min_value: int
+    min_second_difference: int
     argmin: dict = field(hash=False)
     all_nonnegative: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "points": self.points,
-            "min_second_difference": self.min_value,
-            "argmin": self.argmin,
-            "all_nonnegative": self.all_nonnegative,
-        }
+        return asdict(self)
 
 
-def _convexity_points(family: str, grid: dict):
-    """The grid's points without t, keyed by the family's parameter names."""
-    for s2 in range(grid["s2"][0], grid["s2"][1] + 1):
-        if family == "lemma23":
-            for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                yield {"s2": s2, "ell": ell}
-            continue
-        for n in range(s2 + grid["n_offset"][0], s2 + grid["n_offset"][1] + 1):
-            if family == "lemma24":
-                for ell in range(grid["ell"][0], grid["ell"][1] + 1):
-                    yield {"n": n, "s2": s2, "ell": ell}
-            else:
-                for r1 in range(1, grid["r_total"]):
-                    for r2 in range(r1, grid["r_total"] - r1 + 1):
-                        yield {"n": n, "s2": s2, "r1": r1, "r2": r2}
-
-
-def verify_convexity(family: str, grid: dict | None = None) -> ConvexityReport:
-    """Sweep the centered second difference over the grid, keeping only the
-    point count and the first minimum; all must be >= 0.  A point outside
-    n >= 2s + 1 >= 5 raises ValueError, and so does a grid with no point."""
-    term, names, t_range = _family(family)
-    grid = grid or DEFAULT_CONVEXITY_GRIDS[family]
-    if grid["s2"][0] > grid["s2"][1]:
-        raise ValueError(f"empty s2 range {grid['s2'][0]}..{grid['s2'][1]}")
+def verify_convexity(family: str, s2_min: int = 4, s2_max: int = 12) -> ConvexityReport:
+    """Sweep the centered second difference over the family's points at
+    every s2 of s2_min..s2_max, keeping only the point count and the first
+    minimum; all must be >= 0.  A point outside n >= 2s + 1 >= 5 raises
+    ValueError, and so does a range with no point."""
+    term, names, t_range, sweep = _family(family)
+    if s2_min > s2_max:
+        raise ValueError(f"empty s2 range {s2_min}..{s2_max}")
     points, best = 0, None
-    for pt in _convexity_points(family, grid):
-        ts = t_range(pt["s2"])
-        if ts:  # lemma23 has no n: its s2 must admit the least order, s2 + 1
-            check_order(pt.get("n", pt["s2"] + 1), pt["s2"])
-        for t, value in zip(ts, _second_differences(term, [pt[k] for k in names], ts)):
-            points += 1
-            if best is None or value < best[0]:
-                best = value, dict(pt, t=t)
+    for s2 in range(s2_min, s2_max + 1):
+        ts = t_range(s2)
+        if ts:  # every point's n is at least s2 + 1, the least order the hypothesis needs
+            check_order(s2 + 1, s2)
+        for pt in sweep(s2):
+            for t, value in zip(ts, _second_differences(term, pt, ts)):
+                points += 1
+                if best is None or value < best[0]:
+                    best = value, dict(zip(names, pt), t=t)
     if best is None:
-        raise ValueError(f"{family} grid {grid} has no points; the sweep certifies nothing")
+        raise ValueError(f"{family} sweep of s2 {s2_min}..{s2_max} has no points; "
+                         "the sweep certifies nothing")
     return ConvexityReport(family, points, *best, all_nonnegative=best[0] >= 0)

@@ -10,6 +10,8 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from fracmatch.constructions import build_extremal, family_max_count, \
     family_max_count_literal
 from fracmatch.corpus import KNOWN_CLASS_COUNTS, canonical_graph6
@@ -251,3 +253,21 @@ def test_labeled_reports_match_the_benchmark_reference(capsys):
         assert main(["verify", *tail, "--jobs", "1"]) == 0, category
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert labeled_digest(report) == reference[" ".join(tail)], category
+
+
+@pytest.mark.parametrize("name", ["graph-stream", "corpus-gen"])
+def test_benchmark_workload_pass_is_correct(capsys, tmp_path, name):
+    # one pass of the workload through the CLI, judged by the benchmark's own
+    # output checks: a change of the API the harness reads fails here
+    from pathlib import Path
+
+    from fracmatch.cli import main
+    from perfbench.workloads import WORKLOADS
+
+    workload = WORKLOADS[name](Path(__file__).resolve().parents[1], 1, tmp_path)
+    results = []
+    for call in workload.pass_calls(0):
+        code = main(call.argv)
+        results.append((code, capsys.readouterr().out))
+    assert workload.check_pass(0, results) == 0
+    assert workload.final_check() == 0

@@ -38,6 +38,17 @@ def test_construct_invalid_params(capsys):
     code, out, err = run(capsys, ["construct", "--n", "4", "--s2", "4",
                                   "--t", "1", "--delta", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "99", "--s2", "4", "--t", "2", "--delta", "1"],
+    ["family-max", "--family", "F2", "--n", "99", "--s2", "4", "--t", "2",
+     "--delta", "1", "--motif", "clique:2"],
+])
+def test_construction_above_64_vertices_names_n(capsys, argv):
+    # the independent part has 97 vertices; the error is about the 99 of n
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out and "n = 99" in err and "97" not in err
     assert not out and "error" in err
 
 
@@ -202,6 +213,14 @@ def test_family_max_f1(capsys):
                                 "--motif", "clique:2"])
     assert code == 0
     assert json.loads(out)["max"] == "6"
+
+
+@pytest.mark.parametrize("family", ["lemma23", "lemma24", "lemma27"])
+def test_convexity_default_range_is_4_to_12(capsys, family):
+    default = run(capsys, ["convexity", "--family", family])
+    assert default == run(capsys, ["convexity", "--family", family,
+                                   "--s2-min", "4", "--s2-max", "12"])
+    assert default[0] == 0
 
 
 def test_convexity_lemma23(capsys):

@@ -1,8 +1,11 @@
-"""Command-line fuzzing: any bound/verify argv and any batch config ends in
-an exit code of the contract (0-4), never in a traceback.
+"""Command-line fuzzing: any bound/verify, convexity, construct or
+family-max argv and any batch config ends in an exit code of the contract
+(0-4), never in a traceback.
 
-Orders stay at n <= 6, one chunk of a native scan, so no example starts a
-worker pool, and --jobs stays at most 2."""
+Scanned orders stay at n <= 6, one chunk of a native scan, so no example
+starts a worker pool, and --jobs stays at most 2.  Sweeps stay at s2 <= 12,
+family maxima at n <= 12, and constructions reach n = 70, past the 64
+vertices a graph can have."""
 
 import contextlib
 import io
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from fracmatch.cli import main
 from fracmatch.corpus import write_corpus
+from fracmatch.formulas import CONVEX_FAMILIES, feasible_t_max
 from fracmatch.verifier import THEOREMS
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -103,6 +107,50 @@ def test_batch_configs_keep_the_exit_contract(corpora):
             path.write_text(json.dumps(entries))
             jobs_flag = [] if jobs is None else ["--jobs", str(jobs)]
             code, err = exit_code(["batch", "--config", str(path)] + jobs_flag)
+        assert code in range(5) and "Traceback" not in err
+
+    check()
+
+
+@st.composite
+def construction_argv(draw, n_max):
+    """--n, --s2, --t and --delta of a construction that exists with n up to
+    n_max, at times with one of them junk or left out."""
+    s2 = draw(st.integers(4, 11))
+    t = draw(st.integers(1, feasible_t_max(s2)))
+    n = st.integers(s2 + 1, n_max) | st.integers(max(s2 + 1, n_max - 8), n_max)
+    values = {"n": draw(n), "s2": s2, "t": t, "delta": draw(st.integers(1, t))}
+    key = draw(st.sampled_from(sorted(values)))
+    fault = draw(st.sampled_from([None, "junk", "left out"]))
+    if fault == "junk":
+        values[key] = draw(SMALL)
+    elif fault == "left out":
+        del values[key]
+    return [arg for name, value in values.items() for arg in ("--" + name, str(value))]
+
+
+@pytest.mark.parametrize("command", ["convexity", "construct", "family-max"])
+def test_convexity_and_construction_argv_keep_the_exit_contract(command):
+    s2_end = st.none() | st.integers(-2, 10)
+    motif = st.sampled_from(["clique:2", "clique:4", "biclique:1,2", "biclique:2,2"]) \
+        | st.sampled_from(["clique:0", "star:3"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        argv = [command]
+        if command == "convexity":
+            argv += ["--family", data.draw(st.sampled_from(CONVEX_FAMILIES + ("F1",)))]
+            for flag in ("--s2-min", "--s2-max"):
+                end = data.draw(s2_end)
+                argv += [] if end is None else [flag, str(end)]
+        elif command == "construct":
+            argv += data.draw(construction_argv(70)) + ["--describe"] * data.draw(st.booleans())
+        else:
+            argv += data.draw(construction_argv(12)) + [
+                "--family", data.draw(st.sampled_from(["F1", "F2"]) | st.just("G")),
+                "--motif", data.draw(motif)]
+        code, err = exit_code(argv)
         assert code in range(5) and "Traceback" not in err
 
     check()

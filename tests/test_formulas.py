@@ -241,9 +241,22 @@ class TestSecondDifferences:
             second_difference("lemma24", 7, s2=6, ell=3, n=10)  # t = s2 + 1
 
     def test_sweep_rejects_an_unknown_family(self):
-        for grid in (None, {"s2": (4, 5)}):
+        for s2_range in ((), (4, 5)):
             with pytest.raises(ValueError, match="unknown family"):
-                verify_convexity("lemma25", grid)
+                verify_convexity("lemma25", *s2_range)
+
+    @pytest.mark.parametrize("family,points,minimum,argmin", [
+        ("lemma23", 270, 0, {"s2": 4, "ell": 3, "t": 3}),
+        ("lemma24", 1512, 0, {"n": 5, "s2": 4, "ell": 5, "t": 2}),
+        ("lemma27", 576, 4, {"n": 7, "s2": 6, "r1": 1, "r2": 4, "t": 2}),
+    ])
+    def test_default_sweeps_keep_their_points(self, family, points, minimum, argmin):
+        # the sweep points are constants of each family's row: a sweep that
+        # shrinks changes its point count or its first minimum
+        report = verify_convexity(family)
+        assert report == verify_convexity(family, 4, 12)
+        assert (report.points, report.min_second_difference) == (points, minimum)
+        assert report.argmin == argmin and report.all_nonnegative
 
     def test_matches_direct_evaluation(self):
         # each family's term written out here, not imported from formulas
@@ -274,10 +287,9 @@ class TestSecondDifferences:
                                                  r1=r1, r2=r2) == sd(body, t)
 
     def test_sweep_memory_does_not_grow_with_the_grid(self):
-        grid = {"s2": (4, 80), "n_offset": (1, 6), "ell": (2, 5)}
         tracemalloc.start()
         try:
-            report = verify_convexity("lemma24", grid)
+            report = verify_convexity("lemma24", 4, 80)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -486,7 +486,7 @@ def test_convexity_reports():
         rep = verify_convexity(family)
         assert rep.all_nonnegative
         assert rep.points > 100
-        assert rep.min_value >= 0
+        assert rep.min_second_difference >= 0
 
 
 def test_mask_invariants_single_vertex():
