@@ -4,11 +4,13 @@ A scan reads one of two sources as chunks of edge bitmasks: the native
 source covers every labeled graph on n vertices as blocks of labeled graphs
 H on the first n - 1 vertices, each H under every neighbourhood X of the
 last vertex (mask (x << C(n - 1, 2)) | h), and the graph6 stream source
-decodes a non-isomorphic corpus, one graph per line, straight to masks
-(all filter quantities are preserved by isomorphism, so class
-representatives are enough).  Every scan stops at MAX_SCAN_VERTICES; a
-VerifySpec is the question alone, valid at any n, and the worker count is
-an argument of the scan, not of the spec.
+decodes a non-isomorphic corpus, one graph per line, to masks in blocks
+of _BLOCK lines, one numpy pass each, handing only the lines that pass
+rejects to the scalar ``graph6_mask`` (all filter quantities are
+preserved by isomorphism, so class representatives are enough).  Every
+scan stops at MAX_SCAN_VERTICES; a VerifySpec is the question alone, valid
+at any n, and the worker count is an argument of the scan, not of the
+spec.
 
 Every chunk of either source takes one path.  A filter is a key,
 ``VerifySpec.filter_key``: ("k", k), ("s2", s2, "d", d) or ("s2", s2,
@@ -19,12 +21,15 @@ fractional matching number nu2 and minimum/maximum degree for "s2".
 Each distinct key of a group selects a chunk's passing masks once, and
 each question, a key and a motif, counts motif copies in them into one
 fold, however many specs ask it, that keeps the maximum count, the number
-of passing graphs and the WITNESS_CAP smallest witnesses in graph6 order;
-a nonexistence scan is the at-least key with no motif, so its witnesses
-are counterexamples.  A stream chunk is one kernel block of _BLOCK masks.
-With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers (never
-more than the CPU count) fold chunks and send back only the folds of
-their questions and a spot-check sample.  No fold depends on the
+of passing graphs and the WITNESS_CAP smallest witnesses in graph6 order,
+by sort keys that are their graph6 bit strings, so that each witness's
+graph6 line is written from its key; a nonexistence scan is the at-least
+key with no motif, so its witnesses are counterexamples.  A stream chunk
+is one kernel block of _BLOCK masks, and a key whose motifs read
+neighbour rows twice or more unpacks its passing masks' rows once for
+them.  With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers
+(never more than the CPU count) fold chunks and send back only the folds
+of their questions and a spot-check sample.  No fold depends on the
 chunking, so a report is byte-identical for any worker count, and
 ``verify_specs`` serves every spec sharing (n, source, corpus) from one
 pass.
@@ -56,9 +61,12 @@ kernels in the calling process: one mask in 4096, and at least 256 per
 scan (all of them in smaller scans), has the invariants its chunk computed
 re-derived through the scalar per-graph APIs (deficiency scan and double
 cover matching for nu*, degree stats, ``matching_number``), so a
-vectorization bug cannot slip through silently; a report's ``spot_checked`` says how many graphs
-its scan re-checked.  A chunk that computes both nu and nu2 also checks
-2 nu <= nu2 <= 3 nu (nu <= nu* <= 3 nu / 2) on every graph.  Likewise
+vectorization bug cannot slip through silently; a report's
+``spot_checked`` says how many graphs its scan re-checked.  The stream
+source likewise re-decodes the lines at those positions through
+``graph6_mask``, which must give the block decoder's masks.  A chunk
+that computes both nu and nu2 also checks 2 nu <= nu2 <= 3 nu
+(nu <= nu* <= 3 nu / 2) on every graph.  Likewise
 each report's first witness, and a nonexistence scan's first
 counterexample, is re-derived by the same APIs: it must pass its key's
 filter and hold exactly the observed maximum of motif copies
@@ -85,7 +93,7 @@ from .constructions import build_extremal
 from .corpus import read_graph6_stream
 from .counting import Biclique, Clique, Motif, count_motif
 from .formulas import feasible_t_max
-from .graphs import Graph, are_isomorphic, degree_stats, graph6_mask, pair_index, to_graph6
+from .graphs import Graph, Graph6Error, are_isomorphic, degree_stats, graph6_mask, pair_index
 from .matching import matching_number, nu_star_deficiency, nu_star_fast
 
 THEOREMS = ("1.1", "1.2", "1.4", "1.6", "1.9")
@@ -323,13 +331,21 @@ def matching_number_at_least(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     return matching_numbers(n, masks)[0] >= k
 
 
-def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
+def _reads_rows(motif: Motif | None) -> bool:
+    """Does ``count_motif_vector`` count the motif on neighbour rows."""
+    return isinstance(motif, Biclique) and motif != Biclique(1, 1)
+
+
+def count_motif_vector(n: int, masks: np.ndarray, motif: Motif,
+                       rows: np.ndarray | None = None) -> np.ndarray:
     """Motif copies in each edge mask, as the smallest unsigned dtype that
     holds the copies in K_n, so no count can overflow.
 
     Edges are popcounts; K_{r1,r2} sums C(|N(A)|, r2) over r1-sets A (see
-    the module docstring), N(A) being the AND of A's neighbour rows; larger
-    cliques are counted by containment of each copy's edge mask."""
+    the module docstring), N(A) being the AND of A's neighbour rows, which
+    it slices from ``rows``, the masks' ``_neighbour_rows``, when given, and
+    unpacks block by block otherwise; larger cliques are counted by
+    containment of each copy's edge mask."""
     if motif in (Clique(2), Biclique(1, 1)):
         return np.bitwise_count(masks).astype(np.min_scalar_type(n * (n - 1) // 2), copy=False)
     if isinstance(motif, Clique):
@@ -352,13 +368,14 @@ def count_motif_vector(n: int, masks: np.ndarray, motif: Motif) -> np.ndarray:
     common = np.empty(min(len(masks), _BLOCK), dtype=np.uint8)
     term = np.empty(common.shape, dtype=total.dtype)
     for lo in range(0, len(masks), _BLOCK):  # a native chunk's hits reach 2^_CHUNK_BITS
-        rows = _neighbour_rows(n, masks[lo:lo + _BLOCK])
+        block = (_neighbour_rows(n, masks[lo:lo + _BLOCK]) if rows is None
+                 else rows[:, lo:lo + _BLOCK])
         acc = total[lo:lo + _BLOCK]
         nbr, t = common[:len(acc)], term[:len(acc)]
         for A in itertools.combinations(range(n), r1):
-            first = rows[A[0]]
+            first = block[A[0]]
             for a in A[1:]:
-                np.bitwise_and(first, rows[a], out=nbr)
+                np.bitwise_and(first, block[a], out=nbr)
                 first = nbr
             np.bitwise_count(first, out=nbr)
             np.take(table, nbr, out=t, mode="clip")  # |N(A)| <= n - r1: no clipping
@@ -406,30 +423,86 @@ def _native_chunks(n: int):
         yield range(lo, min(lo + step, 1 << edges)), lo << m, 1 << (edges + m)
 
 
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _decode_block(n: int, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, ok) for graph6 lines in one numpy pass: ok marks the lines
+    of order n in the one-byte header form, of the right length, every byte
+    in ? .. ~ and zero padding bits; the other masks are garbage.
+
+    Byte k after the header holds graph6 bits 6k .. 6k + 5, the first one
+    most significant, so its sextet, bit-reversed, is mask bits 6k ..
+    6k + 5 in ``pair_index`` order, and the bits above C(n, 2) are the
+    padding."""
+    m = n * (n - 1) // 2
+    width = 1 + (m + 5) // 6
+    codes = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(len(lines), width)
+    ok = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == width
+    ok &= (codes[:, 0] == 63 + n) & (n >= 1)
+    ok &= ((codes >= 63) & (codes <= 126)).all(axis=1)
+    sextets = _REVERSED_BYTES[((codes[:, 1:] - 63) & 63).astype(np.uint8)] >> 2
+    masks = np.zeros(len(lines), dtype=MASK_DTYPE)
+    for k in range(width - 1):
+        masks |= sextets[:, k].astype(MASK_DTYPE) << MASK_DTYPE(6 * k)
+    ok &= masks >> MASK_DTYPE(m) == 0
+    return masks, ok
+
+
+def _scalar_mask(n: int, lineno: int, line: str) -> int:
+    """One line's mask through ``graph6_mask``, with the errors, line
+    number included, that a stream of order n raises on that line."""
+    try:
+        order, mask = graph6_mask(line)
+    except Graph6Error as exc:
+        raise Graph6Error(f"line {lineno}: {exc}") from None
+    if order != n:
+        raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
+    return mask
+
+
+def _decoded(n: int, numbered: list[tuple[int, str]], start: int, total: int) -> np.ndarray:
+    """The masks of a block of (line number, line) pairs, entries start,
+    start + 1, ... of the scan: ``_decode_block``, every line it rejects
+    decoded or refused by ``_scalar_mask``, and the lines at the spot-check
+    positions of a scan of ``total`` graphs re-decoded by it, which must
+    agree."""
+    masks, ok = _decode_block(n, [line for _, line in numbered])
+    for i in np.flatnonzero(~ok).tolist():
+        masks[i] = _scalar_mask(n, *numbered[i])
+    for i in range(len(numbered))[_spot_sample(start, total)]:
+        scalar = _scalar_mask(n, *numbered[i])
+        if scalar != masks[i]:
+            raise AssertionError(f"graph6 decode check failed at line {numbered[i][0]}: "
+                                 f"block mask {masks[i]}, scalar {scalar}")
+    return masks
+
+
 def load_stream(path: str | Path, n: int):
     """The edge masks of a graph6 corpus in chunks of _BLOCK, one kernel
-    block each, in file order, decoded without Graph objects.  The corpus
-    is read once, so it may be a pipe: ``total`` is its length only up to
-    SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR graphs, read ahead, as the
-    spot-check stride depends on no more."""
+    block each, in file order: each block of lines is decoded in one numpy
+    pass (``_decoded``), checked against ``graph6_mask`` at the spot-check
+    positions.  The corpus is read once, so it may be a pipe, and at most
+    _BLOCK lines of it are held at once: ``total`` is its length only up to
+    SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR graphs, read ahead as masks, as
+    the spot-check stride depends on no more.  A read-ahead block decoded
+    before that length is known is checked at the stride of the graphs read
+    so far."""
     _check_source(n, "graph6-stream", path)
-
-    def decoded():
-        for lineno, (order, mask) in read_graph6_stream(path, decode=graph6_mask):
-            if order != n:
-                raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
-            yield mask
-
-    masks = decoded()
-    ahead = np.fromiter(itertools.islice(masks, SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR),
-                        dtype=MASK_DTYPE)
+    lines = read_graph6_stream(path, decode=str)
+    limit = SPOT_CHECK_STRIDE * SPOT_CHECK_FLOOR
+    ahead, size = [np.empty(0, dtype=MASK_DTYPE)], 0
+    while size < limit and (numbered := list(itertools.islice(lines, min(_BLOCK, limit - size)))):
+        ahead.append(_decoded(n, numbered, size, size + len(numbered)))
+        size += len(numbered)
+    ahead = np.concatenate(ahead)
     total = len(ahead)
     for start in range(0, total, _BLOCK):
         yield ahead[start:start + _BLOCK], start, total
     start = total
-    while (chunk := np.fromiter(itertools.islice(masks, _BLOCK), dtype=MASK_DTYPE)).size:
-        yield chunk, start, total
-        start += chunk.size
+    while numbered := list(itertools.islice(lines, _BLOCK)):
+        yield _decoded(n, numbered, start, total), start, total
+        start += len(numbered)
 
 
 def _as_masks(n: int, chunk: range | np.ndarray) -> np.ndarray:
@@ -449,6 +522,15 @@ def native_invariants(n: int):
     the native source for callers that time the invariants alone."""
     for chunk, _, _ in _native_chunks(n):
         yield _as_masks(n, chunk), extension_invariants(n, chunk, _KEY_INVARIANTS["s2"])
+
+
+def _spot_sample(start: int, total: int) -> slice:
+    """The spot-check entries of a chunk that starts at entry ``start`` of a
+    scan of ``total`` graphs: every stride-th entry of the scan, the stride
+    at most SPOT_CHECK_STRIDE and small enough to check at least
+    min(total, SPOT_CHECK_FLOOR) entries."""
+    stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
+    return slice(-start % stride, None, stride)
 
 
 def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
@@ -622,9 +704,6 @@ class VerificationReport:
                             observed_max=observed)
 
 
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
-
 def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
     """Bit-reversed masks; ascending order equals graph6 string order.
 
@@ -634,6 +713,16 @@ def _graph6_sort_keys(n: int, masks: np.ndarray) -> np.ndarray:
     rev = _REVERSED_BYTES[words.view(np.uint8)].view(words.dtype).byteswap(inplace=True)
     rev >>= words.dtype.type(8 * words.itemsize - n * (n - 1) // 2)
     return rev
+
+
+def _graph6_line(n: int, sort_key: int) -> str:
+    """The graph6 line of the n-vertex graph with this ``_graph6_sort_keys``
+    entry: the key is the graph6 bit string, so, padded with zeros to whole
+    sextets, it gives the bytes after the header, first sextet first."""
+    m = n * (n - 1) // 2
+    pad = -m % 6
+    bits = sort_key << pad
+    return chr(63 + n) + "".join([chr(63 + (bits >> s & 63)) for s in range(m + pad - 6, -1, -6)])
 
 
 def _winning_constructions(key: tuple, n: int, motif: Motif, bound: int) -> list[Graph]:
@@ -695,14 +784,16 @@ class _Fold:
     seconds: float = 0.0
 
     @classmethod
-    def of(cls, n: int, hit: np.ndarray, motif: Motif | None) -> _Fold:
-        """The fold of one chunk's masks passing the question's filter."""
+    def of(cls, n: int, hit: np.ndarray, motif: Motif | None,
+           rows: np.ndarray | None) -> _Fold:
+        """The fold of one chunk's masks passing the question's filter,
+        ``rows`` their neighbour rows if already unpacked."""
         t0 = time.perf_counter()
         fold = cls(passed=hit.size)
         if hit.size:
             fold.best = 0
             if motif is not None:
-                counts = count_motif_vector(n, hit, motif)
+                counts = count_motif_vector(n, hit, motif, rows)
                 fold.best = int(counts.max())
                 hit = hit[counts == fold.best]
             keys = _graph6_sort_keys(n, hit)
@@ -721,21 +812,22 @@ class _Fold:
             self.best, self.smallest = later.best, []
         self.smallest = sorted(self.smallest + later.smallest)[:WITNESS_CAP]
 
-    def witnesses(self, n: int, key: tuple, motif: Motif | None) -> tuple[list[Graph], tuple]:
-        """The witness graphs and their graph6 lines.  The first is re-derived
-        through the scalar per-graph APIs: it must pass filter ``key`` and
-        hold exactly ``best`` copies of ``motif``, or of none with ``motif``
-        None, as a nonexistence scan's counterexample does."""
-        graphs = [Graph.from_edge_mask(n, mask) for _, mask in self.smallest]
-        if graphs:
-            g = graphs[0]
+    def witnesses(self, n: int, key: tuple, motif: Motif | None) -> tuple[str, ...]:
+        """The witnesses' graph6 lines, each written from its sort key
+        (``_graph6_line``).  The first witness alone becomes a Graph, to be
+        re-derived through the scalar per-graph APIs: it must pass filter
+        ``key`` and hold exactly ``best`` copies of ``motif``, or of none with
+        ``motif`` None, as a nonexistence scan's counterexample does."""
+        lines = tuple(_graph6_line(n, sort_key) for sort_key, _ in self.smallest)
+        if lines:
+            g = Graph.from_edge_mask(n, self.smallest[0][1])
             passes = bool(_select(key, _graph_invariants(g, _KEY_INVARIANTS[key[0]])))
             count = 0 if motif is None else count_motif(g, motif)
             if not passes or count != self.best:
-                raise AssertionError(f"witness or counterexample {to_graph6(g)} re-derived: "
+                raise AssertionError(f"witness or counterexample {lines[0]} re-derived: "
                                      f"passes filter {passes}, {count} copies, "
                                      f"scan said {self.best}")
-        return graphs, tuple(to_graph6(g) for g in graphs)
+        return lines
 
 
 def _fold_chunk(task: tuple) -> tuple[int, dict[tuple, _Fold], tuple]:
@@ -744,9 +836,9 @@ def _fold_chunk(task: tuple) -> tuple[int, dict[tuple, _Fold], tuple]:
     motif) and a spot-check sample, all that a worker sends back.  The
     chunk computes the invariants its filter keys read (checking
     2 nu <= nu2 <= 3 nu on every graph when it computes both), and each key
-    selects once for all its motifs.  The sample is every stride-th entry of
-    the scan with its invariants, the stride at most SPOT_CHECK_STRIDE and
-    small enough to check at least min(total, SPOT_CHECK_FLOOR) entries."""
+    selects once for all its motifs, whose neighbour rows, when more than one
+    motif reads them, it unpacks once.  The sample is ``_spot_sample``'s
+    entries with their invariants."""
     n, chunk, start, total, questions = task
     masks = _as_masks(n, chunk)
     names = {name for key in questions for name in _KEY_INVARIANTS[key[0]]}
@@ -768,10 +860,10 @@ def _fold_chunk(task: tuple) -> tuple[int, dict[tuple, _Fold], tuple]:
     folds = {}
     for key, motifs in questions.items():
         hit = masks[_select(key, inv)]
-        folds.update(((key, motif), _Fold.of(n, hit, motif)) for motif in motifs)
-        del hit
-    stride = max(1, min(SPOT_CHECK_STRIDE, total // SPOT_CHECK_FLOOR))
-    pick = slice(-start % stride, None, stride)
+        rows = _neighbour_rows(n, hit) if sum(map(_reads_rows, motifs)) > 1 else None
+        folds.update(((key, motif), _Fold.of(n, hit, motif, rows)) for motif in motifs)
+        del hit, rows
+    pick = _spot_sample(start, total)
     sample = masks[pick], {name: values[pick] for name, values in inv.items()}
     return len(masks), folds, sample
 
@@ -800,13 +892,16 @@ def _report(spec: VerifySpec, folds: dict[tuple, _Fold], scan: list[int],
     t0 = time.perf_counter()
     key, bound = spec.filter_key(), spec.bound()
     fold = folds[key, spec.motif]
-    graphs, witnesses = fold.witnesses(spec.n, key, spec.motif)
+    witnesses = fold.witnesses(spec.n, key, spec.motif)
     if fold.best is None:
         verdict = "no-graphs"
     else:
         verdict = "exact-match" if fold.best == bound else "bound-violated"
     targets = _winning_constructions(key, spec.n, spec.motif, bound) if fold.best == bound else []
-    matches = any(are_isomorphic(w, target) for w in graphs for target in targets)
+    # a witness becomes a Graph only when there is a construction to compare
+    graphs = (Graph.from_edge_mask(spec.n, mask) for _, mask in fold.smallest)
+    matches = bool(targets) and any(are_isomorphic(w, target)
+                                    for w in graphs for target in targets)
     elapsed = int((seconds + fold.seconds + time.perf_counter() - t0) * 1000)
     return VerificationReport(spec, bound, fold.best, witnesses, *scan, fold.passed, verdict,
                               matches, elapsed)
@@ -885,7 +980,7 @@ def verify_nonexistence(n: int, s2: int, delta: int, source: str = "native",
     key = ("s2", s2, "at-least", delta)
     *scan, folds = _fold_scan(n, source, corpus, jobs, {key: {None}})
     fold = folds[key, None]
-    _, examples = fold.witnesses(n, key, None)
+    examples = fold.witnesses(n, key, None)
     verdict = "no-graphs" if fold.passed == 0 else "counterexample-found"
     elapsed = int((time.perf_counter() - t0) * 1000)
     return NonexistenceReport(n, s2, delta, *scan, fold.passed, examples, verdict, elapsed)

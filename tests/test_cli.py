@@ -483,7 +483,8 @@ def test_wrong_vector_witness_exits_4(capsys, monkeypatch, target, argv):
 
     if target == "count_motif_vector":
         vector = V.count_motif_vector
-        monkeypatch.setattr(V, target, lambda n, masks, motif: vector(n, masks, motif) + 1)
+        monkeypatch.setattr(V, target,
+                            lambda n, masks, motif, rows=None: vector(n, masks, motif, rows) + 1)
     else:
         # K_6 (nu 3, 15 edges) passes as nu 2; it is the last mask of the
         # n = 6 scan, and the spot-check sample is every 128th, which misses it
@@ -637,3 +638,26 @@ def test_gen_corpus_refuses_orders_it_cannot_check(capsys, tmp_path, n):
     assert code == 2 and stdout == ""
     assert "n <= 8" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_block_decode_checked_against_graph6_mask(capsys, monkeypatch, corpus8):
+    # a block decoder off at one spot-check position decodes a different
+    # graph there; graph6_mask re-decodes that line and disagrees
+    import fracmatch.verifier as V
+
+    decode = V._decode_block
+    position = range(12346)[V._spot_sample(0, 12346)][1]
+
+    def doctored(n, lines):
+        masks, ok = decode(n, lines)
+        masks[position] ^= 1
+        return masks, ok
+
+    monkeypatch.setattr(V, "_decode_block", doctored)
+    code, out, err = run(capsys, ["verify", "--theorem", "1.6", "--n", "8", "--s2", "6",
+                                  "--delta", "2", "--motif", "clique:3",
+                                  "--source", "graph6-stream", "--corpus", str(corpus8),
+                                  "--jobs", "1"])
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and f"line {position + 1}" in err
+    assert "Traceback" not in err

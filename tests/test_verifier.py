@@ -1066,3 +1066,187 @@ def test_grouped_specs_match_one_call_each(corpus8, tmp_path):
     grouped = [report_fields(r) for r in verify_specs(specs)]
     single = [report_fields(verify_bound(spec)) for spec in specs]
     assert grouped == single
+
+
+def scalar_stream(source, n):
+    """The masks of a graph6 stream line by line through ``graph6_mask``, or
+    the error that this raises: the reference for the block decoder."""
+    from fracmatch.graphs import graph6_mask
+
+    masks = []
+    try:
+        for lineno, (order, mask) in read_graph6_stream(source, decode=graph6_mask):
+            if order != n:
+                raise ValueError(f"line {lineno}: graph has {order} vertices, expected {n}")
+            masks.append(mask)
+    except ValueError as exc:  # Graph6Error is a ValueError
+        return type(exc), str(exc)
+    return masks
+
+
+def block_stream(source, n):
+    """The masks ``load_stream`` yields, or the error it raises."""
+    import fracmatch.verifier as V
+
+    try:
+        return [mask for chunk, _, _ in V.load_stream(source, n) for mask in chunk.tolist()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def tiny_blocks(monkeypatch):
+    """Two-line blocks, a read-ahead of two graphs and a spot check of every
+    graph, so that later lines come from the blocks after the read-ahead."""
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_BLOCK", 2)
+    monkeypatch.setattr(V, "SPOT_CHECK_STRIDE", 1)
+    monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", 2)
+
+
+def test_block_decode_equals_graph6_mask_on_the_corpus(corpus8):
+    masks = block_stream(corpus8, 8)
+    assert len(masks) == 12346 and masks == scalar_stream(corpus8, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_decode_equals_graph6_mask_on_every_labeled_graph(n, tmp_path):
+    path = tmp_path / f"labeled{n}.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in all_labeled_graphs(n)))
+    masks = block_stream(path, n)
+    assert len(masks) == 1 << n * (n - 1) // 2 and masks == scalar_stream(path, n)
+
+
+@pytest.mark.parametrize("text", [
+    b">>graph6<<D~{\nD??\n",  # header
+    b"\nD~{\n\n\nD??\n\n",  # blank lines
+    b"D~{\r\nD??\r\nDQo\r\n",  # CRLF endings
+    b"D~{   \nD?? \t\nDQo",  # trailing spaces, no final newline
+    b"D~{\n~??DQo\nD??\n",  # the extended header form of order 5
+    b"D~{\nD\xff?\nD??\n",  # a non-ASCII byte
+    b"D~{\nD>?\nD??\n",  # a byte outside ? .. ~
+    b"D~{\nD? {\n",  # a space inside a line
+    b"D~{\nD?~\nD??\n",  # nonzero padding bits
+    b"D~{\nD~{{\n",  # a line too long
+    b"D~{\nD~\n",  # a line too short
+    b"D~{\nD??\nC~\n",  # a line of another order
+    b"D~{\nG?????\n",  # another order of another length
+    b"D~{\n?\n",  # order 0
+    b"D~{\n>>graph6<<\nD??\n",  # a header alone
+], ids=["header", "blank", "crlf", "spaces", "extended", "non-ascii", "outside", "space",
+        "padding", "long", "short", "order", "order8", "order0", "bare-header"])
+@pytest.mark.parametrize("layout", ["default", "tiny-blocks"])
+def test_block_decode_keeps_the_scalar_errors(text, layout, monkeypatch, tmp_path):
+    if layout == "tiny-blocks":
+        tiny_blocks(monkeypatch)
+    path = tmp_path / "odd.g6"
+    path.write_bytes(text)
+    assert block_stream(path, 5) == scalar_stream(path, 5)
+
+
+def test_block_decode_reads_a_pipe(corpus8, monkeypatch):
+    import os
+    import threading
+
+    import fracmatch.verifier as V
+
+    tiny_blocks(monkeypatch)
+    monkeypatch.setattr(V, "_BLOCK", 1000)  # 13 blocks, all but two after the read-ahead
+    read, write = os.pipe()
+
+    def feed():
+        with open(write, "wb") as fh:
+            fh.write(corpus8.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    with open(read, encoding="ascii", errors="surrogateescape") as pipe:
+        assert not pipe.seekable()
+        masks = block_stream(pipe, 8)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert masks == scalar_stream(corpus8, 8)
+
+
+@pytest.mark.parametrize("floor", [256, 2], ids=["one-read-ahead", "blocks-after-read-ahead"])
+def test_stream_holds_one_block_of_lines(floor, corpus8, monkeypatch):
+    # every line the reader has handed out is decoded in the next block, so
+    # no more than _BLOCK lines are held at once; the read-ahead keeps masks
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(V, "SPOT_CHECK_FLOOR", floor)
+    pulled, decoded, blocks = [0], [0], []
+    reader, decode = V.read_graph6_stream, V._decode_block
+
+    def counting_reader(*args, **kwargs):
+        for item in reader(*args, **kwargs):
+            pulled[0] += 1
+            yield item
+
+    def recording_decode(n, lines):
+        assert all(isinstance(line, str) for line in lines)
+        blocks.append(pulled[0] - decoded[0])
+        assert len(lines) == pulled[0] - decoded[0] <= V._BLOCK
+        decoded[0] += len(lines)
+        return decode(n, lines)
+
+    monkeypatch.setattr(V, "read_graph6_stream", counting_reader)
+    monkeypatch.setattr(V, "_decode_block", recording_decode)
+    chunks = list(V.load_stream(corpus8, 8))
+    assert all(chunk.dtype == V.MASK_DTYPE for chunk, _, _ in chunks)
+    assert sum(blocks) == decoded[0] == pulled[0] == 12346 and len(blocks) == 13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_graph6_line_from_sort_key(n):
+    import fracmatch.verifier as V
+
+    if n <= 5:
+        masks = np.arange(1 << n * (n - 1) // 2, dtype=V.MASK_DTYPE)
+    else:
+        masks = np.random.default_rng(8).integers(0, 1 << 28, 2000, dtype=V.MASK_DTYPE)
+    keys = V._graph6_sort_keys(n, masks).tolist()
+    lines = [V._graph6_line(n, key) for key in keys]
+    assert lines == [to_graph6(Graph.from_edge_mask(n, mask)) for mask in masks.tolist()]
+    if n == 1:
+        assert lines == ["@"]
+    if n == 2:
+        assert lines == ["A?", "A_"]
+
+
+BICLIQUES_TO_6 = [Biclique(r1, r2) for r1 in range(1, 4) for r2 in range(r1, 6) if r1 + r2 <= 6]
+
+
+@pytest.mark.parametrize("motif", BICLIQUES_TO_6, ids=str)
+def test_count_vector_on_shared_rows(motif, monkeypatch):
+    import fracmatch.verifier as V
+
+    monkeypatch.setattr(V, "_BLOCK", 1 << 10)  # rows sliced block by block
+    for n in range(motif.r1 + motif.r2, 7):
+        masks = np.arange(1 << n * (n - 1) // 2, dtype=V.MASK_DTYPE)
+        shared = count_motif_vector(n, masks, motif, V._neighbour_rows(n, masks))
+        alone = count_motif_vector(n, masks, motif)
+        assert shared.dtype == alone.dtype and np.array_equal(shared, alone)
+
+
+@pytest.mark.parametrize("motifs", [
+    [Biclique(1, 2), Biclique(2, 2), Biclique(1, 3), Clique(3)],
+    [Biclique(2, 2), Clique(2), Biclique(1, 1)],
+], ids=["three-row-motifs", "one-row-motif"])
+def test_one_row_unpack_per_filter_and_chunk(motifs, monkeypatch):
+    # counting unpacks a key's hits once per chunk however many of its
+    # motifs read rows; extension_invariants unpacks the graphs H at n - 1
+    import fracmatch.verifier as V
+
+    specs = [VerifySpec("1.6" if isinstance(motif, Clique) else "1.9", 6, s2=4, delta=1,
+                        motif=motif, delta_mode=mode)
+             for mode in ("exact", "at-least") for motif in motifs]
+    monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
+    single = [report_fields(verify_bound(spec, jobs=1)) for spec in specs]
+    calls = []
+    unpack = V._neighbour_rows
+    monkeypatch.setattr(V, "_neighbour_rows", lambda n, masks:
+                        calls.append(n) or unpack(n, masks))
+    assert [report_fields(r) for r in verify_specs(specs, jobs=1)] == single
+    assert calls.count(6) == 2 * 8
