@@ -5,6 +5,12 @@ bitmask, so set operations are single word operations for the sizes this
 package cares about.  Graphs are immutable: every structural operation
 (complement, join, disjoint union, edge deletion) returns a new graph.
 
+Building and validating a graph handles its adjacency as one packed n x w
+bit matrix, w the least power of two >= n: row v sits at bits v*w..v*w+w-1
+of a single int.  The matrix is transposed by log2(w) delta swaps (Warren,
+*Hacker's Delight*, 2nd ed., section 7-3), so symmetry is one comparison
+of the matrix with its transpose instead of a loop over the edges.
+
 Serialization is the graph6 ASCII format (6-bit groups, byte offset 63,
 upper-triangle column order), bit-exact and without any relabeling.
 """
@@ -12,6 +18,7 @@ upper-triangle column order), bit-exact and without any relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 MAX_VERTICES = 64
 
@@ -28,20 +35,25 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        """Check the vertex count, then each row's range and self-loop bit in
+        vertex order, then symmetry: every entry of the packed matrix must
+        be in its transpose, and the lowest one that is not, (v, u), is the
+        first asymmetric pair in row-major order."""
+        w, steps = _layout(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency table length does not match vertex count")
         full = (1 << self.n) - 1
+        x = 0
         for v, nb in enumerate(self.adj):
             if nb & ~full:
                 raise ValueError(f"vertex {v} has a neighbor index >= {self.n}")
             if nb >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            x |= nb << v * w
+        asymmetric = x & ~_transpose(x, steps)
+        if asymmetric:
+            v, u = divmod((asymmetric & -asymmetric).bit_length() - 1, w)
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -78,14 +90,46 @@ class Graph:
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
-        adj = [0] * n
+        """The graph whose edge i < j is bit pair_index(i, j) of mask.
+
+        Row j of the packed matrix gets j's lower neighbours, the mask's
+        bits C(j, 2)..C(j, 2) + j - 1; ORing in the transpose adds each
+        edge's other end, and the n rows are read back off."""
+        w, steps = _layout(n)
+        x = 0
         for j in range(1, n):
-            base = j * (j - 1) // 2
-            row = mask >> base & ((1 << j) - 1)
-            for i in _bits(row):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        return cls(n, tuple(adj))
+            x |= (mask >> (j * (j - 1) // 2) & ((1 << j) - 1)) << j * w
+        x |= _transpose(x, steps)
+        row = (1 << w) - 1
+        return cls(n, tuple([x >> shift & row for shift in range(0, n * w, w)]))
+
+
+@cache
+def _layout(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(w, delta swaps) of the packed n x w matrix, w the least power of two
+    >= n.  Swap s (s = w/2, ..., 1) exchanges entry (r, c + s) with
+    (r + s, c) for r, c with bit s clear, a distance of s * (w - 1) bits;
+    its mask marks the lower entry (r, c + s) of each pair.  Checks n first,
+    for ``Graph`` and for ``from_edge_mask``, which packs before it builds."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    w = 1 << (n - 1).bit_length()
+    steps = []
+    s = w >> 1
+    while s:
+        row = sum(((1 << s) - 1) << c + s for c in range(0, w, 2 * s))
+        mask = sum(row << r * w for r in range(w) if not r & s)
+        steps.append((s * (w - 1), mask))
+        s >>= 1
+    return w, tuple(steps)
+
+
+def _transpose(x: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """Transpose of the packed w x w bit matrix x (Warren's delta swaps)."""
+    for shift, mask in steps:
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x
 
 
 def _bits(mask: int):

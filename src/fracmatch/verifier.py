@@ -536,6 +536,7 @@ def _spot_sample(start: int, total: int) -> slice:
 def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
     """Re-derive every entry's invariants, and only those, through the
     scalar APIs, nu2 by both scalar routes; raise on mismatch."""
+    columns = {name: values.tolist() for name, values in inv.items()}
     for idx, mask in enumerate(masks.tolist()):
         g = Graph.from_edge_mask(n, mask)
         scalar = _graph_invariants(g, inv)
@@ -544,7 +545,7 @@ def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
             if slow != scalar["nu2"]:
                 raise AssertionError(f"nu* spot check failed at mask {mask}: "
                                      f"fast={scalar['nu2']} deficiency={slow}")
-        vector = {name: int(values[idx]) for name, values in inv.items()}
+        vector = {name: values[idx] for name, values in columns.items()}
         if scalar != vector:
             raise AssertionError(f"spot check failed at mask {mask}: scalar {scalar}, "
                                  f"vector {vector}")

@@ -1,5 +1,7 @@
 """Graph representation, graph6 codec and structural operations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from fracmatch.graphs import (
     from_graph6,
     graph6_mask,
     join,
+    pair_index,
     path_graph,
     relabel,
     to_graph6,
@@ -102,11 +105,93 @@ class TestGraphType:
             Graph(0, ())
         with pytest.raises(ValueError):
             Graph(65, (0,) * 65)
+        for n in (0, 65, 1 << 20):  # before any packing
+            with pytest.raises(ValueError, match=rf"^vertex count {n} outside 1\.\.64$"):
+                Graph.from_edge_mask(n, 0)
 
     def test_edges_roundtrip(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
         assert Graph.from_edge_mask(4, g.edge_mask()) == g
+
+
+def adjacency_by_bits(n: int, mask: int) -> tuple[int, ...]:
+    """One step per mask bit, kept as the oracle of the packed-matrix
+    ``Graph.from_edge_mask``."""
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            if mask >> pair_index(i, j) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def first_asymmetric_pair(adj: tuple[int, ...]) -> str | None:
+    """The pair a loop over v, then u in adj[v], both ascending, names first:
+    the oracle of the transpose-based symmetry check."""
+    for v, nb in enumerate(adj):
+        for u in range(len(adj)):
+            if nb >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+class TestPackedLayout:
+    """``from_edge_mask`` and the symmetry check on the packed n x w bit
+    matrix, at every lane width w = 1, 2, 4, ..., 64 and its boundaries."""
+
+    WIDTH_EDGES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63, 64)
+
+    def test_edge_mask_roundtrip_at_width_edges(self):
+        rng = random.Random(24)
+        for n in self.WIDTH_EDGES:
+            m = n * (n - 1) // 2
+            for mask in (0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(5))):
+                g = Graph.from_edge_mask(n, mask)
+                assert g.edge_mask() == mask
+                assert g.adj == adjacency_by_bits(n, mask)
+                assert all(g.has_edge(u, v) == g.has_edge(v, u)
+                           for u in range(n) for v in range(n))
+
+    def test_adjacency_equals_per_bit_oracle_exhaustive_n5(self):
+        for n in range(1, 6):
+            for mask in range(1 << n * (n - 1) // 2):
+                assert Graph.from_edge_mask(n, mask).adj == adjacency_by_bits(n, mask)
+
+    def test_asymmetry_names_the_first_pair(self):
+        # 0-1 and 2-5 are edges; 3 -> 1, 4 -> 0 and 5 -> 3 have no way back
+        adj = [0] * 6
+        for v, u in ((0, 1), (1, 0), (2, 5), (5, 2), (3, 1), (4, 0), (5, 3)):
+            adj[v] |= 1 << u
+        with pytest.raises(ValueError, match=r"^asymmetric adjacency between 1 and 3$"):
+            Graph(6, tuple(adj))
+
+    def test_asymmetry_message_equals_loop_oracle(self):
+        rng = random.Random(7)
+        for n in self.WIDTH_EDGES[1:]:
+            for _ in range(20):
+                g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+                adj = list(g.adj)
+                for _ in range(rng.randint(1, 3)):  # flip single directed entries
+                    v, u = rng.sample(range(n), 2)
+                    adj[v] ^= 1 << u
+                expected = first_asymmetric_pair(tuple(adj))
+                if expected is None:
+                    assert Graph(n, tuple(adj)).adj == tuple(adj)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    Graph(n, tuple(adj))
+                assert str(err.value) == expected
+
+    def test_row_checks_run_in_vertex_order(self):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
+            Graph(3, (0b001, 0b1000, 0b000))
+        with pytest.raises(ValueError, match=r"^vertex 0 has a neighbor index >= 3$"):
+            Graph(3, (0b1000, 0b010, 0b000))
+        # a neighbour far past the row width is rejected before any packing
+        with pytest.raises(ValueError, match=r"^vertex 1 has a neighbor index >= 9$"):
+            Graph(9, (0, 1 << 40) + (0,) * 7)
 
 
 class TestGraph6:
