@@ -1,5 +1,7 @@
 """Canonical forms and the non-isomorphic corpus generator."""
 
+import collections
+import gc
 import hashlib
 import itertools
 
@@ -7,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmatch import corpus
 from fracmatch.corpus import (
     KNOWN_CLASS_COUNTS,
+    _canonical_search,
+    _orbit_representatives,
     canonical_graph6,
     canonical_mask,
     nonisomorphic_graphs,
@@ -96,25 +101,79 @@ def test_class_counts_up_to_seven():
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS7_SHA256
 
 
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    return [perm for perm in itertools.permutations(range(g.n)) if relabel(g, list(perm)) == g]
+
+
 def _automorphism_count(g: Graph) -> int:
-    hits = 0
-    for perm in itertools.permutations(range(g.n)):
-        if relabel(g, list(perm)) == g:
-            hits += 1
-    return hits
+    return len(_automorphisms(g))
 
 
 def test_orbit_counting_identity():
     # sum over classes of n!/|Aut| must recover the labeled-graph count;
-    # this pins both completeness and distinctness of the generator output
+    # this pins both completeness and distinctness of the generator output.
+    # The canonical search's optimal leaves number |Aut| on every class.
     import math
 
     for n in range(1, 7):
         total = 0
         for line in nonisomorphic_graphs(n):
             g = from_graph6(line)
-            total += math.factorial(n) // _automorphism_count(g)
+            aut = _automorphism_count(g)
+            assert len(_canonical_search(g)[1]) == aut, line
+            total += math.factorial(n) // aut
         assert total == 1 << (n * (n - 1) // 2)
+
+
+def test_one_search_per_orbit(monkeypatch):
+    # by Burnside, the Aut(H)-orbits on the neighbourhoods of each class H
+    # at level k - 1 number 2, 6, 20, 90, 544 and 5,096 for k = 2..7,
+    # against 2, 8, 32, 176, 1,088 and 9,984 one-vertex extensions
+    searches = collections.Counter()
+    search = corpus._canonical_search
+    monkeypatch.setattr(corpus, "_canonical_search",
+                        lambda g: searches.update([g.n]) or search(g))
+    assert len(nonisomorphic_graphs(7)) == KNOWN_CLASS_COUNTS[7]
+    assert [searches[k] for k in range(2, 8)] == [2, 6, 20, 90, 544, 5096]
+    assert sum(searches.values()) == 5758
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_orbit_representatives_give_every_extension(data):
+    # the leaves of a search of any graph H in a class give the orbits of
+    # Aut(C), C its canonical form: X is a representative exactly when it is
+    # the least member of its orbit, and C + X has the canonical form of C
+    # plus that representative
+    m = data.draw(st.integers(1, 6))
+    h = data.draw(st.integers(0, (1 << (m * (m - 1) // 2)) - 1))
+    perm = data.draw(st.permutations(range(m)))
+    c, leaves = _canonical_search(relabel(Graph.from_edge_mask(m, h), list(perm)))
+    reps = _orbit_representatives(leaves)
+    auts = _automorphisms(Graph.from_edge_mask(m, c))
+    base = m * (m - 1) // 2
+
+    def extended(x):
+        return canonical_mask(Graph.from_edge_mask(m + 1, c | x << base))
+
+    for x in range(1 << m):
+        rep = min(sum(1 << sigma[p] for p in range(m) if x >> p & 1) for sigma in auts)
+        assert reps >> x & 1 == (x == rep), (m, h, x)
+        assert extended(x) == extended(rep)
+
+
+def test_search_leaves_no_reference_cycle():
+    # every leaf of K7 is optimal: a cycle through the search would pin all
+    # 5,040 of them until the next collection
+    k7 = Graph.from_edge_mask(7, (1 << 21) - 1)
+    gc.collect()
+    gc.disable()
+    try:
+        _, leaves = _canonical_search(k7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(leaves) == 5040
 
 
 def test_corpus_file_roundtrip(tmp_path):

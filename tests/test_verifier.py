@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -235,6 +236,50 @@ def test_count_vector_agrees():
         assert_counts_match_scalar(n, sample)
 
 
+def _sample_masks(n, seed_size=4096):
+    """Every mask at n <= 5; K_n, the empty graph and seeded masks above."""
+    m = n * (n - 1) // 2
+    if n <= 5:
+        return np.arange(1 << m, dtype=np.uint32)
+    rnd = np.random.default_rng(n)
+    return np.concatenate([[0, (1 << m) - 1],
+                           rnd.integers(0, 1 << m, size=seed_size)]).astype(np.uint32)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_neighbour_rows_equal_adjacency(n):
+    import fracmatch.verifier as V
+
+    masks = _sample_masks(n, seed_size=512)
+    rows = V._neighbour_rows(n, masks)
+    assert rows.dtype == np.uint8 and rows.shape == (n, len(masks))
+    for column, mask in zip(rows.T.tolist(), masks.tolist()):
+        assert column == list(Graph.from_edge_mask(n, mask).adj), mask
+
+
+def _biclique_by_table(n, masks, motif):
+    """K_{r1,r2} copies by a table of C(|N(A)|, r2), read with np.take:
+    the lookup that exact arithmetic replaced in count_motif_vector."""
+    import fracmatch.verifier as V
+
+    rows = V._neighbour_rows(n, masks)
+    table = np.array([math.comb(c, motif.r2) for c in range(n + 1)], dtype=np.int64)
+    total = np.zeros(len(masks), dtype=np.int64)
+    for A in itertools.combinations(range(n), motif.r1):
+        total += np.take(table, np.bitwise_count(np.bitwise_and.reduce(rows[list(A)])))
+    return total // 2 if motif.r1 == motif.r2 else total
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_biclique_arithmetic_equals_table_lookup(n):
+    masks = _sample_masks(n)
+    for motif in (Biclique(r1, r2) for r1 in range(1, n) for r2 in range(r1, n - r1 + 1)):
+        counts = count_motif_vector(n, masks, motif)
+        ordered = math.comb(n, motif.r1) * math.comb(n - motif.r1, motif.r2)
+        assert counts.dtype == np.min_scalar_type(ordered // (1 + (motif.r1 == motif.r2)))
+        assert counts.tolist() == _biclique_by_table(n, masks, motif).tolist(), motif
+
+
 def test_count_vector_edge_cases():
     for dtype in (np.uint32, np.uint64):
         for motif in every_motif(8):
@@ -395,6 +440,21 @@ def test_stream_of_every_labeled_graph_matches_native_matching_scan(n, tmp_path)
                                          corpus=str(path)))
         assert (stream.observed_max, stream.passed, stream.witnesses) == \
             (native.observed_max, native.passed, native.witnesses), (n, k)
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "stream"])
+def test_spot_sample_owns_its_arrays(native):
+    # a view into the chunk would keep its masks and invariants alive
+    import fracmatch.verifier as V
+
+    chunk, start, total = next(V._native_chunks(6))
+    if not native:
+        chunk = V._as_masks(6, chunk)
+    questions = {("k", 2): [], ("s2", 4, "exact", 1): [Clique(3)]}
+    _, _, (masks, inv) = V._fold_chunk((6, chunk, start, total, questions))
+    assert len(masks) and set(inv) == {"nu", "nu2", "mind", "maxd"}
+    assert masks.base is None
+    assert all(values.base is None for values in inv.values())
 
 
 def test_stream_chunk_nu_equals_the_direct_dp(corpus8, monkeypatch):
