@@ -28,6 +28,10 @@ from .matching import fractional_certificate, matching_number, nu_star_fast
 from .verifier import THEOREMS, VerifySpec, verify_bound, verify_nonexistence, verify_specs
 
 
+_JOBS_HELP = ("worker processes for a scan of 16 chunks or more (native n = 8); "
+             "smaller scans run in process")
+
+
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_question(p, theorem_required=False)
     p.add_argument("--source", choices=["native", "graph6-stream"], help="default native")
     p.add_argument("--corpus", help="graph6 corpus file for the stream source")
-    p.add_argument("--jobs", type=_positive_int, help="worker count for the scan")
+    p.add_argument("--jobs", type=_positive_int, help=_JOBS_HELP)
     p.add_argument("--nonexistence", action="store_true",
                    help="certify that no graph matches (delta beyond the feasible cap)")
     p.set_defaults(func=cmd_verify)
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="aggregated JSON report path (default stdout)")
     p.add_argument("--csv", help="CSV summary path")
-    p.add_argument("--jobs", type=_positive_int)
+    p.add_argument("--jobs", type=_positive_int, help=_JOBS_HELP)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("gen-corpus", help="generate a non-isomorphic graph6 corpus")

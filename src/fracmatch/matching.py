@@ -20,6 +20,7 @@ non-isolated vertex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits
@@ -72,6 +73,7 @@ class FractionalCertificate:
 
 
 MAX_DEFICIENCY_SCAN = 24
+_CACHED_LANES = 12
 
 
 def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
@@ -87,14 +89,16 @@ def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     maximum is read from the top slice down.  The highest maximizing lane
     is the greatest S, so the witness is the least T as a bit set.
 
-    Memory is O(n 2^n) bits, all freed on return: at n = MAX_DEFICIENCY_SCAN
-    the lanes take 48 MB and the scan peaks near 80 MB.  Plain ints only:
-    this route shares no code with the König–Ore kernel.
+    Memory is O(n 2^n) bits, freed on return except for the lanes of
+    n <= _CACHED_LANES: at n = MAX_DEFICIENCY_SCAN the lanes take 48 MB and
+    the scan peaks near 80 MB.  Plain ints only: this route shares no code
+    with the König–Ore kernel.
     """
     n = g.n
     if n > MAX_DEFICIENCY_SCAN:
         raise ValueError(f"deficiency scan limited to n <= {MAX_DEFICIENCY_SCAN}, got {n}")
-    lanes = _vertex_lanes(n)
+    # kept lanes take n 2^n bits: 6 KB at n = _CACHED_LANES
+    lanes = _vertex_lanes(n) if n <= _CACHED_LANES else _vertex_lanes.__wrapped__(n)
     counter: list[int] = []  # counter[k]: bit k of each lane's count
     for v, nb in enumerate(g.adj):
         covered = 0
@@ -118,10 +122,12 @@ def nu_star_deficiency(g: Graph) -> tuple[HalfInt, DeficiencyWitness]:
     return HalfInt(n - best), DeficiencyWitness(t, best + len(t))
 
 
-def _vertex_lanes(n: int) -> list[int]:
+@functools.cache
+def _vertex_lanes(n: int) -> tuple[int, ...]:
     """lanes[v] has bit s set iff v is in s, for s < 2^n.  Each starts as one
     period, 2^v clear bits then 2^v set ones, and doubles to 2^n bits: a
-    shift and an OR per doubling, where a division would be quadratic."""
+    shift and an OR per doubling, where a division would be quadratic.
+    Cached per n, for n <= _CACHED_LANES only (see ``nu_star_deficiency``)."""
     size = 1 << n
     lanes = []
     for v in range(n):
@@ -131,7 +137,7 @@ def _vertex_lanes(n: int) -> list[int]:
             x |= x << period
             period <<= 1
         lanes.append(x)
-    return lanes
+    return tuple(lanes)
 
 
 def _double_cover_matching(g: Graph) -> tuple[int, list[int]]:

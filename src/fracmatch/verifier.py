@@ -27,9 +27,12 @@ graph6 line is written from its key; a nonexistence scan is the at-least
 key with no motif, so its witnesses are counterexamples.  A stream chunk
 is one kernel block of _BLOCK masks, and a key whose motifs read
 neighbour rows twice or more unpacks its passing masks' rows once for
-them.  With ``jobs > 1`` and more than one chunk, up to ``jobs`` workers
-(never more than the CPU count) fold chunks and send back only the folds
-of their questions and a spot-check sample.  No fold depends on the
+them.  A native chunk builds only the masks its keys select, after its
+invariants.  With ``jobs > 1`` and at least _POOL_MIN_CHUNKS chunks, up to
+``jobs`` workers (never more than the CPU count) fold and spot-check
+chunks and send back only the folds of their questions and the number of
+graphs they re-checked; a smaller scan folds in the calling process,
+where a pool would cost more than it saves.  No fold depends on the
 chunking, so a report is byte-identical for any worker count, and
 ``verify_specs`` serves every spec sharing (n, source, corpus) from one
 pass.
@@ -57,7 +60,7 @@ graphs H (``extension_invariants``) by the first, with U = V(H) - X:
     nu(H + v)    = nu(H) + [X meets D(H)],
 
 and deg(u) grows by one for u in X.  Every scan cross-validates both
-kernels in the calling process: one mask in 4096, and at least 256 per
+kernels where each chunk is folded: one mask in 4096, and at least 256 per
 scan (all of them in smaller scans), has the invariants its chunk computed
 re-derived through the scalar per-graph APIs (deficiency scan and double
 cover matching for nu*, degree stats, ``matching_number``), so a
@@ -102,7 +105,15 @@ MASK_DTYPE = np.uint32
 WITNESS_CAP = 16
 SPOT_CHECK_STRIDE = 4096
 SPOT_CHECK_FLOOR = 256
-_CHUNK_BITS = 19
+_CHUNK_BITS = 18
+# A scan of fewer chunks than this folds in the calling process, whatever
+# the worker count.  On 2 CPUs a cold n = 7 verify (8 native chunks) took
+# 47 ms wall and CPU in process, and 49 ms wall and 83 ms CPU in a pool of
+# two: about 6 ms of work per chunk, and about 26 ms wall and 36 ms CPU to
+# start the pool and its workers.  Two workers break even near
+# 2 * 26 / 6 = 9 chunks; n = 8 has 1,024.  16 stream chunks are also what
+# the stream's read-ahead holds, so peeking at them costs no memory.
+_POOL_MIN_CHUNKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,9 @@ def extension_invariants(n: int, hs: range, names) -> dict[str, np.ndarray]:
         inv["nu"] = (nu + (xs[:, None] & missed).astype(bool)).ravel()
     if "nu2" in names:
         rows = _neighbour_rows(m, block)
+        deg = np.bitwise_count(rows)
         nbr = _over_subsets(np.bitwise_or, 0, rows)  # N_H(S)
+        del rows
         val = np.bitwise_count(nbr)
         val += m - size
         for i in range(m):  # minimum over the subsets of U, one bit at a time
@@ -311,15 +324,18 @@ def extension_invariants(n: int, hs: range, names) -> dict[str, np.ndarray]:
         # U = V(H) - X runs backwards as X runs forwards
         inv["nu2"] = np.minimum(best[::-1], val[-1] + np.uint8(2)).ravel()
         del val, best
-        deg = np.bitwise_count(rows)
-        # min and max over u in X of deg_H(u); lo + 1 is 255 at X = {}, above any degree
+        # min and max over u in X of deg_H(u), one table at a time, each
+        # freed once read; lo + 1 is 255 at X = {}, above any degree
         lo = _over_subsets(np.minimum, 254, deg)
-        hi = _over_subsets(np.maximum, 0, deg)
-        mind = np.minimum(lo + np.uint8(1), lo[::-1])  # u in X, u outside X
+        mind = lo + np.uint8(1)  # u in X
+        np.minimum(mind, lo[::-1], out=mind)  # u outside X
+        del lo
         np.minimum(mind, size, out=mind)  # v
-        inside = hi + np.uint8(1)
-        inside[0] = 0
-        maxd = np.maximum(inside, hi[::-1])
+        hi = _over_subsets(np.maximum, 0, deg)
+        maxd = hi + np.uint8(1)
+        maxd[0] = 0
+        np.maximum(maxd, hi[::-1], out=maxd)
+        del hi
         np.maximum(maxd, size, out=maxd)
         inv.update(mind=mind.ravel(), maxd=maxd.ravel())
     return inv
@@ -513,15 +529,26 @@ def load_stream(path: str | Path, n: int):
         start += len(numbered)
 
 
-def _as_masks(n: int, chunk: range | np.ndarray) -> np.ndarray:
-    """A chunk's masks; a native range of graphs H becomes
-    (x << C(n - 1, 2)) | h for every neighbourhood x of vertex n - 1 and
-    every h of the range, x-major, where it is folded."""
+def _as_masks(n: int, chunk: range | np.ndarray, entries=slice(None)) -> np.ndarray:
+    """A chunk's masks at ``entries``, a slice or a boolean array over the
+    chunk.  A native range of graphs H stands for (x << C(n - 1, 2)) | h
+    for every neighbourhood x of vertex n - 1 and every h of the range,
+    x-major, and only the masks at ``entries`` are built: a slice's from
+    their entry numbers, a boolean array's one x at a time."""
     if not isinstance(chunk, range):
-        return chunk
-    m = n - 1
-    xs = np.arange(1 << m, dtype=MASK_DTYPE) << MASK_DTYPE(m * (m - 1) // 2)
-    return (xs[:, None] | np.arange(chunk.start, chunk.stop, dtype=MASK_DTYPE)).ravel()
+        return chunk[entries]
+    m, width = n - 1, len(chunk)
+    shift = MASK_DTYPE(m * (m - 1) // 2)
+    if isinstance(entries, slice):
+        entry = np.arange(*entries.indices(width << m), dtype=MASK_DTYPE)
+        return entry // width << shift | entry % width + chunk.start
+    picked = entries.reshape(1 << m, width)
+    hs = np.arange(chunk.start, chunk.stop, dtype=MASK_DTYPE)
+    masks = np.broadcast_to(hs, picked.shape)[picked]
+    ends = np.cumsum(np.count_nonzero(picked, axis=1)).tolist()
+    for x, lo, hi in zip(range(1 << m), [0] + ends, ends):
+        masks[lo:hi] |= MASK_DTYPE(x) << shift
+    return masks
 
 
 def native_invariants(n: int):
@@ -561,17 +588,18 @@ def _spot_check(n: int, masks: np.ndarray, inv: dict[str, np.ndarray]) -> None:
 
 def _in_order(fn: Callable, tasks, jobs: int):
     """fn(task) for each task of an iterable, in task order.  With jobs > 1
-    and more than one task a pool of min(jobs, CPU count, tasks) processes
-    runs them, submitted at most 2 * jobs ahead of the consumer, so the
-    results held at once stay bounded."""
+    and at least _POOL_MIN_CHUNKS tasks a pool of min(jobs, CPU count,
+    tasks) processes runs them, submitted at most 2 * jobs ahead of the
+    consumer, so the results held at once stay bounded; fewer tasks run
+    here, one after another."""
     jobs = min(jobs, os.cpu_count() or 1)  # more workers than CPUs only add memory
     tasks = iter(tasks)
-    first = list(itertools.islice(tasks, jobs))  # the pool starts all its workers at once
-    if len(first) < 2:
+    first = list(itertools.islice(tasks, max(jobs, _POOL_MIN_CHUNKS))) if jobs > 1 else []
+    if len(first) < _POOL_MIN_CHUNKS:
         yield from map(fn, itertools.chain(first, tasks))
         return
     try:
-        pool = ProcessPoolExecutor(max_workers=len(first))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(first)))
         ahead = deque([pool.submit(fn, first[0])])  # starts the workers
     except OSError:  # process pools unavailable; fall back to serial
         yield from map(fn, itertools.chain(first, tasks))
@@ -839,58 +867,63 @@ class _Fold:
         return lines
 
 
-def _fold_chunk(task: tuple) -> tuple[int, dict[tuple, _Fold], tuple]:
+def _fold_chunk(task: tuple) -> tuple[int, dict[tuple, _Fold], int]:
     """One chunk, entries start, start + 1, ... of a scan of ``total``
-    graphs, folded: the chunk's size, the fold of each question (key,
-    motif) and a spot-check sample, all that a worker sends back.  The
-    chunk computes the invariants its filter keys read (checking
-    2 nu <= nu2 <= 3 nu on every graph when it computes both), and each key
-    selects once for all its motifs, whose neighbour rows, when more than one
-    motif reads them, it unpacks once.  The sample is ``_spot_sample``'s
-    entries with their invariants, copied: a view would keep the chunk's
-    arrays alive while the next chunk is folded."""
+    graphs, folded and spot-checked: the chunk's size, the fold of each
+    question (key, motif) and the number of graphs spot-checked, all that
+    a worker sends back.  The chunk computes the invariants its filter keys
+    read (checking 2 nu <= nu2 <= 3 nu on every graph when it computes
+    both), copies ``_spot_sample``'s entries with their invariants, and has
+    every key select its hits, the only masks of a native chunk it builds;
+    the invariants are then freed, the sample re-derived (``_spot_check``),
+    and each key's motifs counted in its hits, whose neighbour rows, when
+    more than one motif reads them, it unpacks once."""
     n, chunk, start, total, questions = task
-    masks = _as_masks(n, chunk)
     names = {name for key in questions for name in _KEY_INVARIANTS[key[0]]}
     if isinstance(chunk, range):
+        size = len(chunk) << (n - 1)
         inv = extension_invariants(n, chunk, names)
     else:
-        inv = mask_invariants(n, masks) if "nu2" in names else {}
+        size = len(chunk)
+        inv = mask_invariants(n, chunk) if "nu2" in names else {}
         if "nu" in names:  # as in extension_invariants, H on the first n - 1 vertices
             low = (n - 1) * (n - 2) // 2
-            nu, missed = matching_numbers(n - 1, masks & MASK_DTYPE((1 << low) - 1))
-            inv["nu"] = nu + (missed & (masks >> low).astype(np.uint8)).astype(bool)
+            nu, missed = matching_numbers(n - 1, chunk & MASK_DTYPE((1 << low) - 1))
+            inv["nu"] = nu + (missed & (chunk >> low).astype(np.uint8)).astype(bool)
     if "nu" in names and "nu2" in names:  # nu <= nu* <= 3 nu / 2 on every graph
         nu, nu2 = inv["nu"], inv["nu2"]
         bad = np.flatnonzero((nu2 < 2 * nu) | (nu2 > 3 * nu))
         if bad.size:
             i = bad[0]
-            raise AssertionError(f"2 nu <= nu2 <= 3 nu fails at mask {masks[i]}: "
+            raise AssertionError(f"2 nu <= nu2 <= 3 nu fails at mask {_as_masks(n, chunk)[i]}: "
                                  f"nu = {nu[i]}, nu2 = {nu2[i]}")
+    pick = _spot_sample(start, total)
+    sample = (_as_masks(n, chunk, pick).copy(),
+              {name: values[pick].copy() for name, values in inv.items()})
+    hits = {key: _as_masks(n, chunk, _select(key, inv)) for key in questions}
+    del inv
+    _spot_check(n, *sample)
     folds = {}
     for key, motifs in questions.items():
-        hit = masks[_select(key, inv)]
+        hit = hits.pop(key)
         rows = _neighbour_rows(n, hit) if sum(map(_reads_rows, motifs)) > 1 else None
         folds.update(((key, motif), _Fold.of(n, hit, motif, rows)) for motif in motifs)
         del hit, rows
-    pick = _spot_sample(start, total)
-    sample = masks[pick].copy(), {name: values[pick].copy() for name, values in inv.items()}
-    return len(masks), folds, sample
+    return size, folds, len(sample[0])
 
 
 def _fold_scan(n: int, source: str, corpus: str | Path | None, jobs: int | None,
                questions: dict[tuple, set]) -> tuple[int, int, dict[tuple, _Fold]]:
     """Fold every chunk of one scan into one fold per question, (key, motif)
-    for each filter key and each of its motifs, in scan order, and
-    spot-check every chunk's sample here; returns the number of graphs
-    scanned, the number spot-checked and the folds."""
+    for each filter key and each of its motifs, in scan order, each chunk
+    spot-checked where it is folded; returns the number of graphs scanned,
+    the number spot-checked and the folds."""
     chunks = _native_chunks(n) if source == "native" else load_stream(corpus, n)
     tasks = ((n, chunk, start, total, questions) for chunk, start, total in chunks)
     folds = {(key, motif): _Fold() for key, motifs in questions.items() for motif in motifs}
     scanned = checked = 0
-    for size, parts, sample in _in_order(_fold_chunk, tasks, jobs or os.cpu_count() or 1):
-        _spot_check(n, *sample)
-        checked += len(sample[0])
+    for size, parts, sampled in _in_order(_fold_chunk, tasks, jobs or os.cpu_count() or 1):
+        checked += sampled
         for question, part in parts.items():
             folds[question].merge(part)
         scanned += size

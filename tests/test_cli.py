@@ -506,6 +506,27 @@ def test_wrong_vector_matching_number_fails_the_spot_check(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_wrong_vector_fails_the_spot_check_in_a_worker(capsys, monkeypatch):
+    # the same doctored kernel on a pooled scan: each worker re-derives its
+    # own chunks' sample, and the failure comes back through the pool
+    import fracmatch.verifier as V
+
+    pools = []
+    pool = V.ProcessPoolExecutor
+    monkeypatch.setattr(V, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks
+    monkeypatch.setattr(V, "_POOL_MIN_CHUNKS", 2)
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    doctor_native(monkeypatch, "nu", 0, 1)
+    code, out, err = run(capsys, ["verify", "--theorem", "1.1", "--n", "6", "--k", "2",
+                                  "--jobs", "2"])
+    assert pools == [2]
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "spot check" in err
+    assert "Traceback" not in err
+
+
 def test_nu_outside_nu_star_window_exits_4(capsys, monkeypatch, tmp_path):
     # a chunk that computes nu and nu2 checks 2 nu <= nu2 <= 3 nu on every
     # mask; mask 1 (one edge, nu2 2) is entry 1 of the scan, outside the

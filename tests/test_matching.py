@@ -283,6 +283,23 @@ class TestSplitTableDeficiency:
                 g = random_graph(rng, n)
                 assert nu_star_deficiency(g) == deficiency_by_gray_walk(g)
 
+    def test_cached_lanes_equal_a_fresh_build(self):
+        from fracmatch import matching
+
+        for n in range(1, 11):
+            lanes = matching._vertex_lanes(n)
+            assert lanes == matching._vertex_lanes.__wrapped__(n)
+            assert isinstance(lanes, tuple) and matching._vertex_lanes(n) is lanes
+            assert all((lanes[v] >> s & 1) == (s >> v & 1) for v in range(n) for s in range(1 << n))
+
+    def test_large_lanes_are_not_kept(self):
+        from fracmatch import matching
+
+        g = random_graph(random.Random(13), matching._CACHED_LANES + 1)
+        kept = matching._vertex_lanes.cache_info().currsize
+        assert nu_star_deficiency(g) == deficiency_by_gray_walk(g)
+        assert matching._vertex_lanes.cache_info().currsize == kept
+
     def test_memory_stays_split(self):
         # the 16 lanes of 2^16 bits take 128 KB, and the scan peaks near
         # 230 KB with the counter and temporaries

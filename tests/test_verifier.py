@@ -442,17 +442,31 @@ def test_stream_of_every_labeled_graph_matches_native_matching_scan(n, tmp_path)
             (native.observed_max, native.passed, native.witnesses), (n, k)
 
 
+def spot_checked_samples(monkeypatch):
+    """Record each (masks, invariants) sample that ``_spot_check`` is given."""
+    import fracmatch.verifier as V
+
+    samples = []
+    check = V._spot_check
+    monkeypatch.setattr(V, "_spot_check", lambda n, masks, inv:
+                        samples.append((masks, inv)) or check(n, masks, inv))
+    return samples
+
+
 @pytest.mark.parametrize("native", [True, False], ids=["native", "stream"])
-def test_spot_sample_owns_its_arrays(native):
-    # a view into the chunk would keep its masks and invariants alive
+def test_spot_sample_owns_its_arrays(native, monkeypatch):
+    # the sample is checked after the chunk's invariants are freed, and a
+    # view would keep them alive while the chunk's motifs are counted
     import fracmatch.verifier as V
 
     chunk, start, total = next(V._native_chunks(6))
     if not native:
         chunk = V._as_masks(6, chunk)
     questions = {("k", 2): [], ("s2", 4, "exact", 1): [Clique(3)]}
-    _, _, (masks, inv) = V._fold_chunk((6, chunk, start, total, questions))
-    assert len(masks) and set(inv) == {"nu", "nu2", "mind", "maxd"}
+    samples = spot_checked_samples(monkeypatch)
+    _, _, checked = V._fold_chunk((6, chunk, start, total, questions))
+    (masks, inv), = samples
+    assert len(masks) == checked and set(inv) == {"nu", "nu2", "mind", "maxd"}
     assert masks.base is None
     assert all(values.base is None for values in inv.values())
 
@@ -463,8 +477,10 @@ def test_stream_chunk_nu_equals_the_direct_dp(corpus8, monkeypatch):
     (chunk, start, total), = V.load_stream(corpus8, 8)
     assert len(chunk) == total == 12346
     monkeypatch.setattr(V, "SPOT_CHECK_STRIDE", 1)  # the sample is the whole chunk
-    size, _, (masks, inv) = V._fold_chunk((8, chunk, start, total, {("k", 2): []}))
-    assert size == total and np.array_equal(masks, chunk)
+    samples = spot_checked_samples(monkeypatch)
+    size, _, checked = V._fold_chunk((8, chunk, start, total, {("k", 2): []}))
+    (masks, inv), = samples
+    assert size == checked == total and np.array_equal(masks, chunk)
     assert np.array_equal(inv["nu"], matching_numbers(8, chunk)[0])
 
 
@@ -622,7 +638,7 @@ def assert_extension_equals_mask_kernels(n, chunk):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-@pytest.mark.parametrize("bits", [19, 0], ids=["default-chunks", "one-H-per-chunk"])
+@pytest.mark.parametrize("bits", [18, 0], ids=["default-chunks", "one-H-per-chunk"])
 def test_extension_invariants_every_labeled_graph(n, bits, monkeypatch, rng):
     import fracmatch.verifier as V
 
@@ -648,7 +664,7 @@ def test_extension_invariants_first_middle_last_chunk_n8():
     import fracmatch.verifier as V
 
     chunks = list(V._native_chunks(8))
-    assert len(chunks) == 512 and all(len(c) << 7 == 1 << V._CHUNK_BITS for c, _, _ in chunks)
+    assert len(chunks) == 1024 and all(len(c) << 7 == 1 << V._CHUNK_BITS for c, _, _ in chunks)
     for chunk, _, _ in (chunks[0], chunks[len(chunks) // 2], chunks[-1]):
         assert_extension_equals_mask_kernels(8, chunk)
 
@@ -868,6 +884,7 @@ def test_jobs_do_not_change_reports(monkeypatch, corpus8):
 
     monkeypatch.setattr(V, "_CHUNK_BITS", 10)  # n = 6: 32 chunks
     monkeypatch.setattr(V, "_BLOCK", 1 << 10)  # corpus8: 13 chunks
+    monkeypatch.setattr(V, "_POOL_MIN_CHUNKS", 2)  # few enough for a pool
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)  # a pool of 2 on any host
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)),
              VerifySpec("1.9", 6, s2=4, delta=1, motif=Biclique(1, 2), delta_mode="at-least"),
@@ -882,6 +899,58 @@ def test_jobs_do_not_change_reports(monkeypatch, corpus8):
         return [report_fields(r) for r in reports], absent
 
     assert run(1) == run(2)
+
+
+def test_small_scans_fold_in_process(monkeypatch):
+    # native n = 7 (8 chunks) runs in process at --jobs 2 and reports as
+    # --jobs 1 does; native n = 8 (1,024 chunks) starts a pool of 2
+    import fracmatch.verifier as V
+
+    specs = [VerifySpec("1.1", 7, k=3), VerifySpec("1.2", 7, s2=6, d=4),
+             VerifySpec("1.9", 7, s2=6, delta=1, motif=Biclique(2, 3), delta_mode="at-least")]
+    serial = [report_fields(r) for r in verify_specs(specs, jobs=1)]
+    absent = verify_nonexistence(7, 5, 3, jobs=1).to_json_dict()
+    absent.pop("elapsed_ms")
+
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(V, "ProcessPoolExecutor", no_pool)
+    assert [report_fields(r) for r in verify_specs(specs, jobs=2)] == serial
+    placed = verify_nonexistence(7, 5, 3, jobs=2).to_json_dict()
+    placed.pop("elapsed_ms")
+    assert placed == absent
+    pools = []
+
+    class RecordingPool(PicklingPool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+    monkeypatch.setattr(V, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(PicklingPool, "sizes", [])
+    assert len(list(V._in_order(len, V._native_chunks(8), 2))) == 1024
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("spec", [
+    VerifySpec("1.1", 7, k=3),
+    VerifySpec("1.9", 7, s2=6, delta=1, motif=Biclique(2, 3), delta_mode="at-least"),
+], ids=["matching-k3", "biclique-at-least"])
+def test_in_process_scan_memory_is_bounded_by_the_chunk(spec):
+    # a whole n = 7 scan of 2^21 graphs in 2^18-mask chunks, its spot
+    # checks and report included, peaks at about 1.7 MB of allocations
+    # (over 5 MB when a chunk held all its masks and its invariants at once)
+    import tracemalloc
+
+    verify_bound(spec, jobs=1)  # the per-process caches, kept across scans
+    tracemalloc.start()
+    try:
+        verify_bound(spec, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20
 
 
 def test_no_process_pool_falls_back_to_serial(monkeypatch):
@@ -996,6 +1065,7 @@ def test_workers_send_back_folds_not_chunk_arrays(monkeypatch):
     import fracmatch.verifier as V
 
     monkeypatch.setattr(V, "_CHUNK_BITS", 12)  # n = 6: 8 chunks of 4096 masks
+    monkeypatch.setattr(V, "_POOL_MIN_CHUNKS", 2)  # few enough for a pool
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(PicklingPool, "sizes", [])
     specs = [VerifySpec("1.6", 6, s2=5, delta=1, motif=Clique(2)), VerifySpec("1.1", 6, k=2)]
@@ -1042,6 +1112,7 @@ def test_one_filter_serves_every_motif(monkeypatch):
             tasks.append(task)
             return super().submit(fn, task)
 
+    monkeypatch.setattr(V, "_POOL_MIN_CHUNKS", 2)  # few enough for a pool
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(V, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(PicklingPool, "sizes", [])
@@ -1056,19 +1127,19 @@ def test_one_filter_serves_every_motif(monkeypatch):
 
 def test_one_fold_per_question(monkeypatch):
     # theorem 1.4 and theorem 1.6 at-least delta = 1 with K2 ask one
-    # question, as a duplicate spec does: n = 7 has 4 chunks, and the
+    # question, as a duplicate spec does: n = 7 has 8 chunks, and the
     # question is counted once in each
     import fracmatch.verifier as V
 
     spec16 = VerifySpec("1.6", 7, s2=5, delta=1, motif=Clique(2), delta_mode="at-least")
     specs = [VerifySpec("1.4", 7, s2=5), spec16, spec16]
-    assert len(list(V._native_chunks(7))) == 4
+    assert len(list(V._native_chunks(7))) == 8
     single = [report_fields(verify_bound(spec, jobs=1)) for spec in specs]
     calls = []
     count = V.count_motif_vector
     monkeypatch.setattr(V, "count_motif_vector", lambda *args: calls.append(args) or count(*args))
     assert [report_fields(r) for r in verify_specs(specs, jobs=1)] == single
-    assert len(calls) == 4
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("block", [1 << 10, None], ids=["small-blocks", "default-block"])
