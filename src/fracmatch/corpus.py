@@ -18,8 +18,35 @@ of canonical forms is unchanged (the orbit step of orderly generation:
 Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998).  The
 group comes from the search that labeled the class: its optimal leaves
 are one coset of the automorphism group, so their number is |Aut H|, the
-weight n!/|Aut H| of a class in a labeled count.  Known class counts (1, 2,
-4, 11, 34, 156, 1044, 12346 for n = 1..8) pin the output sizes.
+weight n!/|Aut H| of a class in a labeled count.
+
+Each class is produced once, by the canonical-parent test of canonical
+augmentation (McKay, as above): G = H + X is kept only if v is the last
+entry of one of G's optimal leaves.  Those leaves are one coset of
+Aut(G), so their last entries form one orbit, that of the canonical last
+vertex m(G), and since the search depends on nothing but the graph, an
+isomorphism G -> G' maps that orbit onto the orbit of m(G').
+
+- Existence: delete from a class G a vertex w in the orbit of m(G).  What
+  is left is isomorphic to a class H of the level below, so some
+  isomorphism maps G onto H + X' and w to v, and an automorphism of H,
+  extended to fix v, maps X' to the representative X of its orbit.  Both
+  maps keep v in the orbit of m, so (H, X) is kept.
+- Uniqueness: if (H1, X) and (H2, Y) are kept and H1 + X is isomorphic to
+  H2 + Y, some isomorphism maps the one orbit of m onto the other, so,
+  composed with an automorphism, it sends v to v.  It then restricts to an
+  isomorphism H1 -> H2, so H1 = H2 (a level holds one form per class), and
+  to an automorphism of H1 mapping X to Y, so X = Y (one representative
+  per orbit).  A class produced twice is a fault, not a duplicate to drop.
+
+The pre-test: the last position draws from the highest refined cell, and
+refined colors refine degree order (they start as degrees, and each round
+ranks a vertex by its old color first), so a kept v has maximum degree in
+H + X: |X| >= deg_H(u) + [u in X] for every u.  Checked from H's degrees
+before H + X is built, it skips only extensions the search would reject.
+
+Known class counts (1, 2, 4, 11, 34, 156, 1044, 12346 for n = 1..8) pin
+the output sizes.
 """
 
 from __future__ import annotations
@@ -27,7 +54,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .graphs import Graph, Graph6Error, _refine_colors, from_graph6, to_graph6
+from .graphs import (Graph, Graph6Error, _refine_colors, degree_stats, from_graph6,
+                     to_graph6)
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -127,9 +155,10 @@ def _orbit_representatives(leaves: list[tuple[int, ...]]) -> int:
 def nonisomorphic_graphs(n: int) -> list[str]:
     """Sorted canonical graph6 lines of every isomorphism class on n vertices.
 
-    Each class C on k - 1 vertices is extended only by the orbit
-    representatives of its neighbourhoods (see the module docstring),
-    found from the leaves of the search that first produced C."""
+    Each class H on k - 1 vertices is extended only by the orbit
+    representatives X of its neighbourhoods, and H + X is kept only if it
+    passes the canonical-parent test (see the module docstring); the orbits
+    of each kept class are read off the leaves of the search that kept it."""
     if n < 1:
         raise ValueError("need n >= 1")
     level = {0: 0b11}  # K1 and both neighbourhoods of a second vertex
@@ -137,11 +166,18 @@ def nonisomorphic_graphs(n: int) -> list[str]:
         base = (k - 1) * (k - 2) // 2
         found: dict[int, int] = {}
         for h, reps in level.items():
+            _, top, degrees = degree_stats(Graph.from_edge_mask(k - 1, h))
+            tops = sum(1 << u for u, d in enumerate(degrees) if d == top)
             for x in range(1 << (k - 1)):
-                if reps >> x & 1:
-                    c, leaves = _canonical_search(Graph.from_edge_mask(k, h | x << base))
-                    if c not in found:  # level n is never extended
-                        found[c] = _orbit_representatives(leaves) if k < n else 0
+                # v = k - 1 must have maximum degree in H + X
+                if not reps >> x & 1 or x.bit_count() < top + bool(x & tops):
+                    continue
+                c, leaves = _canonical_search(Graph.from_edge_mask(k, h | x << base))
+                if any(leaf[-1] == k - 1 for leaf in leaves):
+                    if c in found:
+                        raise AssertionError(f"class produced twice at k = {k}")
+                    # level n is never extended
+                    found[c] = _orbit_representatives(leaves) if k < n else 0
         level = found
     return sorted(to_graph6(Graph.from_edge_mask(n, h)) for h in level)
 

@@ -661,6 +661,26 @@ def test_gen_corpus_refuses_orders_it_cannot_check(capsys, tmp_path, n):
     assert not out.exists()
 
 
+def test_gen_corpus_class_produced_twice_exits_4(capsys, monkeypatch, tmp_path):
+    # a search whose leaves always end in the new vertex accepts every
+    # extension it is given, so some class is produced twice
+    from fracmatch import corpus
+
+    search = corpus._canonical_search
+
+    def doctored(g):
+        c, leaves = search(g)
+        return c, leaves + [tuple(range(g.n))]
+
+    monkeypatch.setattr(corpus, "_canonical_search", doctored)
+    out = tmp_path / "g5.g6"
+    code, stdout, err = run(capsys, ["gen-corpus", "--n", "5", "--out", str(out)])
+    assert code == 4 and stdout == ""
+    assert "internal check failed" in err and "produced twice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_block_decode_checked_against_graph6_mask(capsys, monkeypatch, corpus8):
     # a block decoder off at one spot-check position decodes a different
     # graph there; graph6_mask re-decodes that line and disagrees

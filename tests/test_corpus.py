@@ -4,6 +4,7 @@ import collections
 import gc
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from fracmatch.graphs import (
     cycle_graph,
     from_graph6,
     relabel,
+    to_graph6,
 )
 
 from random_graphs import random_graph
@@ -128,14 +130,70 @@ def test_orbit_counting_identity():
 def test_one_search_per_orbit(monkeypatch):
     # by Burnside, the Aut(H)-orbits on the neighbourhoods of each class H
     # at level k - 1 number 2, 6, 20, 90, 544 and 5,096 for k = 2..7,
-    # against 2, 8, 32, 176, 1,088 and 9,984 one-vertex extensions
+    # against 2, 8, 32, 176, 1,088 and 9,984 one-vertex extensions; the
+    # maximum-degree pre-test leaves 2, 4, 11, 37, 184 and 1,401 of them to
+    # search, and the canonical-parent test accepts one per class
+    visited = collections.Counter({2: 2})  # the seed: both neighbourhoods of K1
     searches = collections.Counter()
-    search = corpus._canonical_search
+    accepted = collections.Counter()
+    search, orbits = corpus._canonical_search, corpus._orbit_representatives
+
+    def counted_orbits(leaves):
+        # called once per accepted extension below level n
+        reps = orbits(leaves)
+        accepted[len(leaves[0])] += 1
+        visited[len(leaves[0]) + 1] += reps.bit_count()
+        return reps
+
     monkeypatch.setattr(corpus, "_canonical_search",
                         lambda g: searches.update([g.n]) or search(g))
-    assert len(nonisomorphic_graphs(7)) == KNOWN_CLASS_COUNTS[7]
-    assert [searches[k] for k in range(2, 8)] == [2, 6, 20, 90, 544, 5096]
-    assert sum(searches.values()) == 5758
+    monkeypatch.setattr(corpus, "_orbit_representatives", counted_orbits)
+    accepted[7] = len(nonisomorphic_graphs(7))  # level n gets no representatives
+    levels = range(2, 8)
+    assert [visited[k] for k in levels] == [2, 6, 20, 90, 544, 5096]
+    assert [searches[k] for k in levels] == [2, 4, 11, 37, 184, 1401]
+    assert sum(searches.values()) == 1639
+    assert [accepted[k] for k in levels] == [KNOWN_CLASS_COUNTS[k] for k in levels]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_last_position_has_maximum_degree(data):
+    # the canonical-parent test accepts v only as a leaf's last vertex, which
+    # has maximum degree: the generator's degree pre-test rejects no
+    # extension that the search would accept
+    n = data.draw(st.integers(1, 7))
+    g = Graph.from_edge_mask(n, data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    top = max(g.degree(v) for v in range(n))
+    assert all(g.degree(leaf[-1]) == top for leaf in _canonical_search(g)[1])
+
+
+def _deduplicated_graphs(n: int) -> list[str]:
+    """The generator without the canonical-parent test: search every orbit
+    representative and keep the first extension of each canonical mask."""
+    level = {0: 0b11}
+    for k in range(2, n + 1):
+        base = (k - 1) * (k - 2) // 2
+        found: dict[int, int] = {}
+        for h, reps in level.items():
+            for x in range(1 << (k - 1)):
+                if reps >> x & 1:
+                    c, leaves = _canonical_search(Graph.from_edge_mask(k, h | x << base))
+                    if c not in found:
+                        found[c] = _orbit_representatives(leaves) if k < n else 0
+        level = found
+    return sorted(to_graph6(Graph.from_edge_mask(n, h)) for h in level)
+
+
+def test_canonical_parent_equals_deduplication():
+    for n in range(1, 8):
+        assert nonisomorphic_graphs(n) == _deduplicated_graphs(n), n
+
+
+def test_generates_the_shipped_corpus():
+    # data/graphs8.g6 itself, not the corpus directory a run may point elsewhere
+    shipped = Path(__file__).resolve().parents[1] / "data" / "graphs8.g6"
+    assert nonisomorphic_graphs(8) == shipped.read_text().split()
 
 
 @given(st.data())
